@@ -34,26 +34,19 @@
 //! allows (see [`RoutePlanner::retain_for_changed_rows`]) — so the
 //! resulting [`NetSimReport`] is bit-for-bit the one the full-rebuild
 //! path produces, pinned by `tests/tests/netsim_delta_equivalence.rs`.
-//!
-//! The historical free functions ([`run_netsim`],
-//! [`run_netsim_faulted`], [`run_netsim_dynamic`], and their
-//! `_recorded` forms) remain as thin deprecated wrappers over the
-//! driver.
 
 use openspace_net::outage::OutageTracker;
 use openspace_net::routing::{latency_weight, QosRequirement, RoutePlanner};
 use openspace_net::timeline::{TopologyProvider, TopologyTimeline};
 use openspace_net::topology::{Graph, NodeId};
 use openspace_sim::config::{require_positive, ConfigError};
-use openspace_sim::engine::{CalendarQueue, EventQueue, Scheduler};
+use openspace_sim::engine::EventQueue;
 use openspace_sim::fault::{TopologyEvent, TopologyEventKind};
 use openspace_sim::rng::SimRng;
 use openspace_sim::stats::Summary;
 use openspace_telemetry::{NullRecorder, Recorder};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
-
-pub use openspace_sim::engine::EngineKind;
 
 /// Traffic model of one flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,10 +183,6 @@ pub struct NetSimConfig {
     pub routing: RoutingMode,
     /// Seed for all arrival processes.
     pub seed: u64,
-    /// Event-queue implementation. Both produce bit-identical reports
-    /// (pinned by `tests/tests/engine_equivalence.rs`); the calendar
-    /// queue is faster and the default, the heap is the reference.
-    pub engine: EngineKind,
 }
 
 impl Default for NetSimConfig {
@@ -203,7 +192,6 @@ impl Default for NetSimConfig {
             queue_capacity_bytes: 256 * 1024,
             routing: RoutingMode::Proactive,
             seed: 1,
-            engine: EngineKind::default(),
         }
     }
 }
@@ -214,6 +202,24 @@ impl NetSimConfig {
         NetSimConfigBuilder {
             cfg: Self::default(),
         }
+    }
+
+    /// Check the settings themselves (positive duration, non-zero
+    /// queue capacity, positive replan interval). Shared by
+    /// [`NetSimConfigBuilder::build`] and every [`NetSim`] run, so a
+    /// config built by struct update is held to the same rules.
+    fn check(&self) -> Result<(), ConfigError> {
+        require_positive("duration_s", self.duration_s)?;
+        if self.queue_capacity_bytes == 0 {
+            return Err(ConfigError::NonPositive {
+                field: "queue_capacity_bytes",
+                value: 0.0,
+            });
+        }
+        if let RoutingMode::Adaptive { replan_interval_s } = self.routing {
+            require_positive("replan_interval_s", replan_interval_s)?;
+        }
+        Ok(())
     }
 }
 
@@ -248,31 +254,15 @@ impl NetSimConfigBuilder {
         self
     }
 
-    /// Event-queue implementation.
-    pub fn engine(mut self, v: EngineKind) -> Self {
-        self.cfg.engine = v;
-        self
-    }
-
     /// Validate and produce the config.
     pub fn build(self) -> Result<NetSimConfig, ConfigError> {
-        let cfg = self.cfg;
-        require_positive("duration_s", cfg.duration_s)?;
-        if cfg.queue_capacity_bytes == 0 {
-            return Err(ConfigError::NonPositive {
-                field: "queue_capacity_bytes",
-                value: 0.0,
-            });
-        }
-        if let RoutingMode::Adaptive { replan_interval_s } = cfg.routing {
-            require_positive("replan_interval_s", replan_interval_s)?;
-        }
-        Ok(cfg)
+        self.cfg.check()?;
+        Ok(self.cfg)
     }
 }
 
-/// Fault accounting appended to [`NetSimReport`] by
-/// [`run_netsim_faulted`]. A fault-free run carries the default value
+/// Fault accounting appended to [`NetSimReport`] by a run with
+/// [`NetSim::with_faults`]. A fault-free run carries the default value
 /// (full availability, nothing lost), so reports stay comparable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultImpact {
@@ -375,7 +365,7 @@ struct CompiledRoute {
 }
 
 /// Simulation events. Every variant is ≤ 8 bytes of payload — packet
-/// state lives in the [`PktSlab`] — so the schedulers move 24-byte
+/// state lives in the [`PktSlab`] — so the event queue moves 24-byte
 /// `(time, seq, event)` entries through the hot loop.
 enum Ev {
     Inject(u32),
@@ -672,8 +662,7 @@ enum TopologySource<'a> {
 }
 
 /// The packet-level simulation driver: one builder for every
-/// combination of routing mode, fault plan, and topology source that
-/// used to be a separate `run_netsim*` entry point.
+/// combination of routing mode, fault plan, and topology source.
 ///
 /// ```
 /// use openspace_core::netsim::{FlowSpec, NetSim, NetSimConfig, TrafficKind};
@@ -845,95 +834,8 @@ impl<'a> NetSim<'a> {
                 }
             }
         }
-        run_netsim_inner(source, flows, &self.cfg, self.events, self.demand, rec)
+        run_netsim_core(source, flows, &self.cfg, self.events, self.demand, rec)
     }
-}
-
-/// Run the simulation on a static topology snapshot.
-#[deprecated(note = "use `NetSim::new(cfg).with_snapshot(graph).run(flows)`")]
-pub fn run_netsim(
-    graph: &Graph,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg).with_snapshot(graph).run(flows)
-}
-
-/// [`run_netsim`] with telemetry.
-#[deprecated(note = "use `NetSim::new(cfg).with_snapshot(graph).run_recorded(flows, rec)`")]
-pub fn run_netsim_recorded(
-    graph: &Graph,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    rec: &mut dyn Recorder,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_snapshot(graph)
-        .run_recorded(flows, rec)
-}
-
-/// Run the simulation with a fault plan.
-#[deprecated(note = "use `NetSim::new(cfg).with_snapshot(graph).with_faults(events).run(flows)`")]
-pub fn run_netsim_faulted(
-    graph: &Graph,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    events: &[TopologyEvent],
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_snapshot(graph)
-        .with_faults(events)
-        .run(flows)
-}
-
-/// [`run_netsim_faulted`] with telemetry.
-#[deprecated(
-    note = "use `NetSim::new(cfg).with_snapshot(graph).with_faults(events).run_recorded(flows, rec)`"
-)]
-pub fn run_netsim_faulted_recorded(
-    graph: &Graph,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    events: &[TopologyEvent],
-    rec: &mut dyn Recorder,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_snapshot(graph)
-        .with_faults(events)
-        .run_recorded(flows, rec)
-}
-
-/// Run the simulation over a moving constellation.
-#[deprecated(
-    note = "use `NetSim::new(cfg).with_provider(&provider, interval).run(flows)` \
-            (or `with_timeline` for precomputed dynamics)"
-)]
-pub fn run_netsim_dynamic(
-    topology_at: &dyn Fn(f64) -> Graph,
-    resnapshot_interval_s: f64,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_provider(&topology_at, resnapshot_interval_s)
-        .run(flows)
-}
-
-/// [`run_netsim_dynamic`] with telemetry.
-#[deprecated(
-    note = "use `NetSim::new(cfg).with_provider(&provider, interval).run_recorded(flows, rec)` \
-            (or `with_timeline` for precomputed dynamics)"
-)]
-pub fn run_netsim_dynamic_recorded(
-    topology_at: &dyn Fn(f64) -> Graph,
-    resnapshot_interval_s: f64,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    rec: &mut dyn Recorder,
-) -> Result<NetSimReport, ConfigError> {
-    NetSim::new(*cfg)
-        .with_provider(&topology_at, resnapshot_interval_s)
-        .run_recorded(flows, rec)
 }
 
 fn validate(
@@ -945,7 +847,7 @@ fn validate(
     if flows.is_empty() {
         return Err(ConfigError::Empty { field: "flows" });
     }
-    require_positive("duration_s", cfg.duration_s)?;
+    cfg.check()?;
     let n = graph.node_count();
     for f in flows {
         for (field, node) in [("flow.src", f.src), ("flow.dst", f.dst)] {
@@ -973,9 +875,6 @@ fn validate(
             require_positive("flow.mean_off_s", mean_off_s)?;
         }
     }
-    if let RoutingMode::Adaptive { replan_interval_s } = cfg.routing {
-        require_positive("replan_interval_s", replan_interval_s)?;
-    }
     for ev in events {
         let check = |node: NodeId| -> Result<(), ConfigError> {
             if node.0 >= n {
@@ -999,30 +898,7 @@ fn validate(
     Ok(())
 }
 
-fn run_netsim_inner(
-    source: TopologySource<'_>,
-    flows: &[FlowSpec],
-    cfg: &NetSimConfig,
-    events: &[TopologyEvent],
-    demand: Option<&DemandWorkload>,
-    rec: &mut dyn Recorder,
-) -> Result<NetSimReport, ConfigError> {
-    // One monomorphized simulation core per engine: the scheduler is a
-    // generic parameter (not a trait object) so the hot loop's
-    // schedule/pop calls inline. Both instantiations run the same code
-    // over the same total event order, so their reports are
-    // bit-identical (pinned by `tests/tests/engine_equivalence.rs`).
-    match cfg.engine {
-        EngineKind::Heap => {
-            run_netsim_core::<EventQueue<Ev>>(source, flows, cfg, events, demand, rec)
-        }
-        EngineKind::Calendar => {
-            run_netsim_core::<CalendarQueue<Ev>>(source, flows, cfg, events, demand, rec)
-        }
-    }
-}
-
-fn run_netsim_core<S: Scheduler<Ev> + Default>(
+fn run_netsim_core(
     source: TopologySource<'_>,
     flows: &[FlowSpec],
     cfg: &NetSimConfig,
@@ -1129,7 +1005,7 @@ fn run_netsim_core<S: Scheduler<Ev> + Default>(
     let mut active: Vec<bool> = (0..flows.len()).map(|i| i < base_count).collect();
     let mut on_until: Vec<f64> = vec![0.0; flows.len()];
 
-    let mut q: S = S::default();
+    let mut q = EventQueue::new();
     for i in 0..base_count {
         let at = start_flow(&flows[i], &mut rngs[i], 0.0, &mut on_until[i]);
         q.schedule(at, Ev::Inject(i as u32));
@@ -1617,11 +1493,8 @@ fn run_netsim_core<S: Scheduler<Ev> + Default>(
     rec.gauge_max("netsim.max_link_utilization", max_util);
     rec.add("engine.events_processed", q.processed());
     rec.gauge_max("engine.queue_depth_high_water", q.depth_high_water() as f64);
-    // Engine internals: peak in-flight packets, and (calendar only)
-    // wheel rebuilds. `bucket_resizes` is the one key that legitimately
-    // differs between engines — equivalence suites filter it.
+    // Engine internals: peak in-flight packets.
     rec.gauge_max("netsim.engine.slab_high_water", slab.high_water as f64);
-    rec.add("netsim.engine.bucket_resizes", q.bucket_resizes());
     if !events.is_empty() {
         rec.add("netsim.fault.events_applied", fault.events_applied);
         rec.add("netsim.fault.packets_lost", fault.packets_lost);
@@ -1707,8 +1580,8 @@ fn plan_flow_routes(
 /// Enqueue the packet on its next-hop link, starting transmission if
 /// idle. One array index replaces the old per-hop pair hash.
 #[allow(clippy::too_many_arguments)] // engine + link/packet state + loss counters, all load-bearing
-fn forward<S: Scheduler<Ev>>(
-    q: &mut S,
+fn forward(
+    q: &mut EventQueue<Ev>,
     table: &mut LinkTable,
     slab: &mut PktSlab,
     pid: PktId,
@@ -1903,6 +1776,33 @@ mod tests {
             .run(&[])
             .unwrap_err();
         assert_eq!(err, ConfigError::Empty { field: "flows" });
+    }
+
+    #[test]
+    fn zero_queue_capacity_is_a_config_error() {
+        // Struct update bypasses the builder; the run must still refuse
+        // a capacity that would drop every packet.
+        let g = diamond(1e6);
+        let cfg = NetSimConfig {
+            queue_capacity_bytes: 0,
+            ..Default::default()
+        };
+        let err = NetSim::new(cfg)
+            .with_snapshot(&g)
+            .run(&[flow(0, 3, 1e5)])
+            .unwrap_err();
+        let want = ConfigError::NonPositive {
+            field: "queue_capacity_bytes",
+            value: 0.0,
+        };
+        assert_eq!(err, want);
+        assert_eq!(
+            NetSimConfig::builder()
+                .queue_capacity_bytes(0)
+                .build()
+                .unwrap_err(),
+            want
+        );
     }
 
     #[test]
@@ -2274,35 +2174,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_driver() {
-        let g = diamond(2e6);
-        let flows = [FlowSpec::new(0, 3, 1e6, 1_200, TrafficKind::Poisson)];
-        let cfg = NetSimConfig {
-            duration_s: 5.0,
-            seed: 13,
-            ..Default::default()
-        };
-        let driver = NetSim::new(cfg).with_snapshot(&g);
-        assert_eq!(
-            run_netsim(&g, &flows, &cfg).unwrap(),
-            driver.run(&flows).unwrap()
-        );
-        assert_eq!(
-            run_netsim_faulted(&g, &flows, &cfg, &[]).unwrap(),
-            driver.with_faults(&[]).run(&flows).unwrap()
-        );
-        let provider = |_t: f64| g.clone();
-        assert_eq!(
-            run_netsim_dynamic(&provider, 1.0, &flows, &cfg).unwrap(),
-            NetSim::new(cfg)
-                .with_provider(&provider, 1.0)
-                .run(&flows)
-                .unwrap()
-        );
     }
 
     // ---- fault-injection runs ----

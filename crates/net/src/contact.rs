@@ -12,7 +12,7 @@
 //! instrumented [`contact_plan_recorded`]) therefore skip ahead when a
 //! sample is far below the mask, by an amount derived from a **sound
 //! bound on the elevation-angle rate** — and produce output **bitwise
-//! identical** to the dense reference scan [`contact_plan_dense`]. The
+//! identical** to the dense reference scan [`reference::contact_plan_dense`]. The
 //! argument, in full:
 //!
 //! 1. *Geometry.* Work in ECEF, where the ground point is fixed. The
@@ -57,7 +57,7 @@ use crate::isl::SatNode;
 use openspace_orbit::constants::EARTH_ROTATION_RATE_RAD_PER_S;
 use openspace_orbit::frames::{eci_to_ecef, Vec3};
 use openspace_orbit::propagator::Propagator;
-use openspace_orbit::visibility::{elevation_angle_rad, is_visible, slant_range_at_elevation_m};
+use openspace_orbit::visibility::{elevation_angle_rad, slant_range_at_elevation_m};
 use openspace_sim::ids::SatId;
 use openspace_telemetry::{NullRecorder, Recorder};
 
@@ -123,7 +123,7 @@ fn elevation_rate_bound(prop: &Propagator, site_radius_m: f64, mask_rad: f64) ->
 /// well below LEO pass durations (minutes).
 ///
 /// Uses the horizon-skip fast path (see the module docs); the result is
-/// bitwise identical to [`contact_plan_dense`].
+/// bitwise identical to [`reference::contact_plan_dense`].
 ///
 /// # Panics
 /// Panics if `step_s <= 0` or the interval is inverted.
@@ -232,64 +232,6 @@ pub fn contact_plan_recorded(
     windows
 }
 
-/// The dense reference scan: every grid sample propagated and tested.
-///
-/// Kept as the ground truth for the horizon-skip equivalence property
-/// test and the paired bench kernels; production callers use
-/// [`contact_plan`].
-///
-/// # Panics
-/// Panics if `step_s <= 0` or the interval is inverted.
-pub fn contact_plan_dense(
-    sats: &[SatNode],
-    ground_ecef: Vec3,
-    t_start_s: f64,
-    t_end_s: f64,
-    step_s: f64,
-    min_elevation_rad: f64,
-) -> Vec<ContactWindow> {
-    assert!(step_s > 0.0, "step must be positive");
-    assert!(t_end_s >= t_start_s, "interval inverted");
-    let steps = ((t_end_s - t_start_s) / step_s).ceil() as usize;
-    let mut windows = Vec::new();
-    for (si, sat) in sats.iter().enumerate() {
-        let mut open: Option<f64> = None;
-        for k in 0..=steps {
-            let t = (t_start_s + k as f64 * step_s).min(t_end_s);
-            let sat_ecef = eci_to_ecef(sat.propagator.position_eci(t), t);
-            let vis = is_visible(ground_ecef, sat_ecef, min_elevation_rad);
-            match (open, vis) {
-                (None, true) => open = Some(t),
-                (Some(start), false) => {
-                    windows.push(ContactWindow {
-                        sat_index: SatId(si),
-                        start_s: start,
-                        end_s: t,
-                    });
-                    open = None;
-                }
-                _ => {}
-            }
-            if t >= t_end_s {
-                break;
-            }
-        }
-        if let Some(start) = open {
-            windows.push(ContactWindow {
-                sat_index: SatId(si),
-                start_s: start,
-                end_s: t_end_s,
-            });
-        }
-    }
-    windows.sort_by(|a, b| {
-        a.start_s
-            .total_cmp(&b.start_s)
-            .then(a.sat_index.cmp(&b.sat_index))
-    });
-    windows
-}
-
 /// Fraction of `[t_start, t_end)` during which at least one satellite is
 /// visible (union of windows).
 pub fn coverage_time_fraction(windows: &[ContactWindow], t_start_s: f64, t_end_s: f64) -> f64 {
@@ -332,6 +274,75 @@ pub fn longest_outage_s(windows: &[ContactWindow], t_start_s: f64, t_end_s: f64)
         horizon = horizon.max(e);
     }
     gap.max(t_end_s - horizon)
+}
+
+/// Test oracle for [`contact_plan`], not a production path: the dense
+/// scan the horizon-skip fast path must match bit for bit. The
+/// equivalence property suite and the paired bench kernels call it.
+pub mod reference {
+    use super::ContactWindow;
+    use crate::isl::SatNode;
+    use openspace_orbit::frames::{eci_to_ecef, Vec3};
+    use openspace_orbit::visibility::is_visible;
+    use openspace_sim::ids::SatId;
+
+    /// The dense reference scan: every grid sample propagated and tested.
+    ///
+    /// Kept as the ground truth for the horizon-skip equivalence property
+    /// test and the paired bench kernels; production callers use
+    /// [`contact_plan`](super::contact_plan).
+    ///
+    /// # Panics
+    /// Panics if `step_s <= 0` or the interval is inverted.
+    pub fn contact_plan_dense(
+        sats: &[SatNode],
+        ground_ecef: Vec3,
+        t_start_s: f64,
+        t_end_s: f64,
+        step_s: f64,
+        min_elevation_rad: f64,
+    ) -> Vec<ContactWindow> {
+        assert!(step_s > 0.0, "step must be positive");
+        assert!(t_end_s >= t_start_s, "interval inverted");
+        let steps = ((t_end_s - t_start_s) / step_s).ceil() as usize;
+        let mut windows = Vec::new();
+        for (si, sat) in sats.iter().enumerate() {
+            let mut open: Option<f64> = None;
+            for k in 0..=steps {
+                let t = (t_start_s + k as f64 * step_s).min(t_end_s);
+                let sat_ecef = eci_to_ecef(sat.propagator.position_eci(t), t);
+                let vis = is_visible(ground_ecef, sat_ecef, min_elevation_rad);
+                match (open, vis) {
+                    (None, true) => open = Some(t),
+                    (Some(start), false) => {
+                        windows.push(ContactWindow {
+                            sat_index: SatId(si),
+                            start_s: start,
+                            end_s: t,
+                        });
+                        open = None;
+                    }
+                    _ => {}
+                }
+                if t >= t_end_s {
+                    break;
+                }
+            }
+            if let Some(start) = open {
+                windows.push(ContactWindow {
+                    sat_index: SatId(si),
+                    start_s: start,
+                    end_s: t_end_s,
+                });
+            }
+        }
+        windows.sort_by(|a, b| {
+            a.start_s
+                .total_cmp(&b.start_s)
+                .then(a.sat_index.cmp(&b.sat_index))
+        });
+        windows
+    }
 }
 
 #[cfg(test)]
@@ -459,7 +470,7 @@ mod tests {
         let mask = 25f64.to_radians();
         let mut rec = MemoryRecorder::new();
         let gated = contact_plan_recorded(&sats, ground, 0.0, 7_200.0, 5.0, mask, &mut rec);
-        let dense = contact_plan_dense(&sats, ground, 0.0, 7_200.0, 5.0, mask);
+        let dense = reference::contact_plan_dense(&sats, ground, 0.0, 7_200.0, 5.0, mask);
         assert_eq!(gated.len(), dense.len());
         for (a, b) in gated.iter().zip(&dense) {
             assert_eq!(a.sat_index, b.sat_index);
@@ -486,7 +497,7 @@ mod tests {
         let sats = one_sat();
         let high_site = Vec3::new(8.0e6, 0.0, 0.0);
         let gated = contact_plan(&sats, high_site, 0.0, 3_600.0, 5.0, 0.1);
-        let dense = contact_plan_dense(&sats, high_site, 0.0, 3_600.0, 5.0, 0.1);
+        let dense = reference::contact_plan_dense(&sats, high_site, 0.0, 3_600.0, 5.0, 0.1);
         assert_eq!(gated, dense);
     }
 

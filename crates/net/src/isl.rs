@@ -13,7 +13,7 @@
 //! edge `c = max_isl_range_m · (1 + 1e-6)` and only tests pairs sharing
 //! a cell or in one of the 26 adjacent cells. The candidate set is
 //! **provably unchanged** from the exhaustive sweep in
-//! [`build_snapshot_from_samples_dense`]:
+//! [`reference::build_snapshot_from_samples_dense`]:
 //!
 //! * Any pair the dense sweep accepts satisfies
 //!   `|pᵢ − pⱼ| ≤ max_isl_range_m`, so each coordinate differs by at
@@ -66,7 +66,7 @@ use openspace_orbit::ephemeris::EphemerisSample;
 use openspace_orbit::frames::{ecef_to_eci, eci_to_ecef, Vec3};
 use openspace_orbit::propagator::Propagator;
 use openspace_orbit::visibility::{
-    is_visible, line_of_sight_with_clearance, slant_range_at_elevation_m, visible_slant_range_m,
+    line_of_sight_with_clearance, slant_range_at_elevation_m, visible_slant_range_m,
 };
 use openspace_phy::bands::RfBand;
 use openspace_phy::linkbudget::{RfLink, RfTerminal};
@@ -425,82 +425,6 @@ pub fn build_snapshot_from_samples_recorded(
     g
 }
 
-/// The exhaustive reference builder: all `N(N−1)/2` satellite pairs
-/// tested, every station×satellite elevation evaluated — the original
-/// quadratic sweep, kept verbatim as ground truth for the equivalence
-/// property test and the paired bench kernels. Production callers use
-/// [`build_snapshot_from_samples`].
-pub fn build_snapshot_from_samples_dense(
-    sats: &[SatNode],
-    samples: &[EphemerisSample],
-    stations: &[GroundNode],
-    params: &SnapshotParams,
-) -> Graph {
-    assert_eq!(sats.len(), samples.len(), "one sample per satellite");
-    let mut g = Graph::new(sats.len(), stations.len());
-    let pos_eci: Vec<Vec3> = samples.iter().map(|s| s.eci).collect();
-
-    // Candidate neighbour lists per satellite.
-    let mut candidates: Vec<Vec<(usize, f64)>> = vec![Vec::new(); sats.len()];
-    for i in 0..sats.len() {
-        for j in (i + 1)..sats.len() {
-            let d = pos_eci[i].distance(pos_eci[j]);
-            if d <= params.max_isl_range_m
-                && (!params.require_los
-                    || line_of_sight_with_clearance(pos_eci[i], pos_eci[j], params.los_clearance_m))
-            {
-                candidates[i].push((j, d));
-                candidates[j].push((i, d));
-            }
-        }
-    }
-    for c in candidates.iter_mut() {
-        c.sort_by(|a, b| a.1.total_cmp(&b.1));
-        c.truncate(params.max_isl_per_sat);
-    }
-    // Mutual selection.
-    for i in 0..sats.len() {
-        for &(j, d) in &candidates[i] {
-            if j > i && candidates[j].iter().any(|&(k, _)| k == i) {
-                let (cap, tech) =
-                    isl_capacity_bps(sats[i].has_optical, sats[j].has_optical, d, params);
-                if cap > 0.0 {
-                    g.add_bidirectional(
-                        i,
-                        j,
-                        d / SPEED_OF_LIGHT_M_PER_S,
-                        cap,
-                        sats[i].operator,
-                        sats[j].operator,
-                        tech,
-                    );
-                }
-            }
-        }
-    }
-
-    // Ground links: every station links to every visible satellite.
-    for (gi, st) in stations.iter().enumerate() {
-        let gs_node = g.station_node(gi);
-        for (si, _s) in sats.iter().enumerate() {
-            let sat_ecef = samples[si].ecef;
-            if is_visible(st.position_ecef, sat_ecef, params.min_elevation_rad) {
-                let d = st.position_ecef.distance(sat_ecef);
-                g.add_bidirectional(
-                    si,
-                    gs_node,
-                    d / SPEED_OF_LIGHT_M_PER_S,
-                    params.ground_link_bps,
-                    sats[si].operator,
-                    st.operator,
-                    LinkTech::Rf,
-                );
-            }
-        }
-    }
-    g
-}
-
 /// Build the snapshot at `t_s` and express it as a [`GraphDelta`]
 /// against `prev` (the snapshot at some earlier instant of the same
 /// constellation). Applying the result to `prev` yields a graph
@@ -579,12 +503,106 @@ pub fn ground_eci(ground_ecef: Vec3, t_s: f64) -> Vec3 {
     ecef_to_eci(ground_ecef, t_s)
 }
 
+/// Test oracle for [`build_snapshot_from_samples`], not a production
+/// path: the exhaustive sweep the range-gated builder must match bit
+/// for bit. The equivalence property suite and the paired bench kernels
+/// call it.
+pub mod reference {
+    use super::{isl_capacity_bps, GroundNode, SatNode, SnapshotParams};
+    use crate::topology::{Graph, LinkTech};
+    use openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S;
+    use openspace_orbit::ephemeris::EphemerisSample;
+    use openspace_orbit::frames::Vec3;
+    use openspace_orbit::visibility::{is_visible, line_of_sight_with_clearance};
+
+    /// The exhaustive reference builder: all `N(N−1)/2` satellite pairs
+    /// tested, every station×satellite elevation evaluated — the original
+    /// quadratic sweep, kept verbatim as ground truth for the equivalence
+    /// property test and the paired bench kernels. Production callers use
+    /// [`build_snapshot_from_samples`](super::build_snapshot_from_samples).
+    pub fn build_snapshot_from_samples_dense(
+        sats: &[SatNode],
+        samples: &[EphemerisSample],
+        stations: &[GroundNode],
+        params: &SnapshotParams,
+    ) -> Graph {
+        assert_eq!(sats.len(), samples.len(), "one sample per satellite");
+        let mut g = Graph::new(sats.len(), stations.len());
+        let pos_eci: Vec<Vec3> = samples.iter().map(|s| s.eci).collect();
+
+        // Candidate neighbour lists per satellite.
+        let mut candidates: Vec<Vec<(usize, f64)>> = vec![Vec::new(); sats.len()];
+        for i in 0..sats.len() {
+            for j in (i + 1)..sats.len() {
+                let d = pos_eci[i].distance(pos_eci[j]);
+                if d <= params.max_isl_range_m
+                    && (!params.require_los
+                        || line_of_sight_with_clearance(
+                            pos_eci[i],
+                            pos_eci[j],
+                            params.los_clearance_m,
+                        ))
+                {
+                    candidates[i].push((j, d));
+                    candidates[j].push((i, d));
+                }
+            }
+        }
+        for c in candidates.iter_mut() {
+            c.sort_by(|a, b| a.1.total_cmp(&b.1));
+            c.truncate(params.max_isl_per_sat);
+        }
+        // Mutual selection.
+        for i in 0..sats.len() {
+            for &(j, d) in &candidates[i] {
+                if j > i && candidates[j].iter().any(|&(k, _)| k == i) {
+                    let (cap, tech) =
+                        isl_capacity_bps(sats[i].has_optical, sats[j].has_optical, d, params);
+                    if cap > 0.0 {
+                        g.add_bidirectional(
+                            i,
+                            j,
+                            d / SPEED_OF_LIGHT_M_PER_S,
+                            cap,
+                            sats[i].operator,
+                            sats[j].operator,
+                            tech,
+                        );
+                    }
+                }
+            }
+        }
+
+        // Ground links: every station links to every visible satellite.
+        for (gi, st) in stations.iter().enumerate() {
+            let gs_node = g.station_node(gi);
+            for (si, _s) in sats.iter().enumerate() {
+                let sat_ecef = samples[si].ecef;
+                if is_visible(st.position_ecef, sat_ecef, params.min_elevation_rad) {
+                    let d = st.position_ecef.distance(sat_ecef);
+                    g.add_bidirectional(
+                        si,
+                        gs_node,
+                        d / SPEED_OF_LIGHT_M_PER_S,
+                        params.ground_link_bps,
+                        sats[si].operator,
+                        st.operator,
+                        LinkTech::Rf,
+                    );
+                }
+            }
+        }
+        g
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
     use openspace_orbit::propagator::PerturbationModel;
+    use openspace_orbit::visibility::is_visible;
     use openspace_orbit::walker::{iridium_params, walker_star};
 
     fn iridium_nodes(optical: bool) -> Vec<SatNode> {
@@ -745,7 +763,7 @@ mod tests {
         let params = SnapshotParams::default();
         let mut rec = MemoryRecorder::new();
         let gated = build_snapshot_from_samples_recorded(&sats, &samples, &st, &params, &mut rec);
-        let dense = build_snapshot_from_samples_dense(&sats, &samples, &st, &params);
+        let dense = reference::build_snapshot_from_samples_dense(&sats, &samples, &st, &params);
         assert_eq!(gated, dense);
         let tested = rec.counter("snapshot.pairs_tested");
         let pruned = rec.counter("snapshot.pairs_pruned");
@@ -781,7 +799,7 @@ mod tests {
                 }
             })
             .collect();
-        let dense = build_snapshot_from_samples_dense(&sats, &samples, &[], &params);
+        let dense = reference::build_snapshot_from_samples_dense(&sats, &samples, &[], &params);
         assert_eq!(gated, dense);
         assert_eq!(rec.counter("snapshot.pairs_tested"), 66 * 65 / 2);
         assert_eq!(rec.counter("snapshot.pairs_pruned"), 0);

@@ -69,8 +69,8 @@ pub mod topology;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::contact::{
-        contact_plan, contact_plan_dense, contact_plan_recorded, coverage_time_fraction,
-        longest_outage_s, ContactWindow,
+        contact_plan, contact_plan_recorded, coverage_time_fraction, longest_outage_s,
+        ContactWindow,
     };
     pub use crate::dtn::{
         earliest_arrival, earliest_arrival_with_retry, sample_contacts, Contact, DtnError,
@@ -82,9 +82,8 @@ pub mod prelude {
     };
     pub use crate::isl::{
         best_access_from_ecef, best_access_satellite, build_snapshot, build_snapshot_from_samples,
-        build_snapshot_from_samples_dense, build_snapshot_from_samples_recorded,
-        build_snapshot_recorded, isl_capacity_bps, snapshot_delta, snapshot_delta_recorded,
-        GroundNode, SatNode, SnapshotParams,
+        build_snapshot_from_samples_recorded, build_snapshot_recorded, isl_capacity_bps,
+        snapshot_delta, snapshot_delta_recorded, GroundNode, SatNode, SnapshotParams,
     };
     pub use crate::outage::{OutageTracker, TopologyDelta};
     pub use crate::policy::{

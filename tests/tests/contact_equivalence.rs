@@ -13,6 +13,7 @@
 //! actually engages across the suite rather than silently degrading to
 //! dense everywhere.
 
+use openspace_net::contact::reference::contact_plan_dense;
 use openspace_net::prelude::*;
 use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
 use openspace_orbit::kepler::OrbitalElements;

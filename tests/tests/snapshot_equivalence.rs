@@ -14,6 +14,7 @@
 //! exhaustive sweep), terminal counts, LOS settings, elevation masks
 //! (including negative), and station sets.
 
+use openspace_net::isl::reference::build_snapshot_from_samples_dense;
 use openspace_net::prelude::*;
 use openspace_orbit::ephemeris::EphemerisSample;
 use openspace_orbit::frames::{eci_to_ecef, geodetic_to_ecef, Geodetic};
