@@ -489,6 +489,33 @@ fn bench_telemetry() {
         black_box(&rec);
     });
 
+    // Per-flow key cost: 2,000 light CBR flows (~10 packets each) over
+    // a 16-node ring, so one recorded run ends with ~2k
+    // `netsim.flow.<i>.latency_s` histograms — the shape of the E21
+    // demand day, which the one-flow kernel above cannot show.
+    let ring = 16usize;
+    let mut ring_g = Graph::new(ring, 0);
+    for u in 0..ring {
+        ring_g.add_bidirectional(u, (u + 1) % ring, 0.002, 1e8, 0, 0, LinkTech::Rf);
+    }
+    let many_flows: Vec<FlowSpec> = (0..2_000usize)
+        .map(|i| {
+            let src = i % ring;
+            let dst = (src + 1 + (i / ring) % (ring - 1)) % ring;
+            FlowSpec::new(src, dst, 80_000.0, 1_000, TrafficKind::Cbr)
+        })
+        .collect();
+    bench("netsim_recorded_memory_2k_flows", window(), || {
+        let mut rec = MemoryRecorder::new();
+        black_box(
+            NetSim::new(cfg)
+                .with_snapshot(&ring_g)
+                .run_recorded(&many_flows, &mut rec),
+        )
+        .ok();
+        black_box(&rec);
+    });
+
     // Raw recorder primitives.
     let mut mem = MemoryRecorder::new();
     let mut i = 0u64;

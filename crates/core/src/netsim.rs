@@ -781,8 +781,10 @@ impl<'a> NetSim<'a> {
     /// [`run`](Self::run) with telemetry: packet counters
     /// (`netsim.generated` / `delivered` / `dropped` / `unroutable`),
     /// the end-to-end latency histogram (`netsim.latency_s`, plus a
-    /// `netsim.flow.<i>.latency_s` histogram per flow when the recorder
-    /// is enabled), re-plan / re-snapshot counters
+    /// `netsim.flow.<i>.latency_s` histogram per flow that delivered,
+    /// accumulated per run and handed over once at its end through
+    /// [`Recorder::observe_summary`] — bit-identical to one `observe`
+    /// per delivered packet), re-plan / re-snapshot counters
     /// (`netsim.resnapshot.links_kept` / `links_churned` /
     /// `packets_dropped`, and `netsim.timeline.deltas_applied` on the
     /// timeline path), the fault block when faults are present
@@ -945,12 +947,15 @@ fn run_netsim_core(
     // event applies delta k (coverage validated by the driver).
     let mut tick: usize = 0;
 
-    // Per-flow histogram keys are only materialized when someone is
-    // listening — a NullRecorder run never formats a string — and even
-    // then lazily, on a flow's first delivery: a million-flow demand
-    // run allocates strings only for flows that actually deliver.
-    let mut flow_latency_keys: Vec<Option<String>> = if rec.enabled() {
-        vec![None; flows.len()]
+    // Per-flow latency accumulators, indexed by flow: a delivery adds
+    // to a dense slot instead of looking up a string key in the
+    // recorder, and the run hands each non-empty histogram over once,
+    // after the loop. Empty when nobody is listening, so a NullRecorder
+    // run allocates nothing here; an empty `Summary` owns no buffer, so
+    // a million-flow demand run allocates samples only for flows that
+    // actually deliver.
+    let mut flow_latency: Vec<Summary> = if rec.enabled() {
+        vec![Summary::new(); flows.len()]
     } else {
         Vec::new()
     };
@@ -1187,11 +1192,8 @@ fn run_netsim_core(
                 slab.free(pid);
                 delivered += 1;
                 latency.add(lat);
-                if rec.enabled() {
-                    rec.observe("netsim.latency_s", lat);
-                    let key = flow_latency_keys[flow]
-                        .get_or_insert_with(|| format!("netsim.flow.{flow}.latency_s"));
-                    rec.observe(key, lat);
+                if let Some(s) = flow_latency.get_mut(flow) {
+                    s.add(lat);
                 }
             } else {
                 forward(
@@ -1500,6 +1502,18 @@ fn run_netsim_core(
         rec.add("netsim.fault.packets_lost", fault.packets_lost);
         rec.add("netsim.fault.reassociations", fault.reassociations);
         rec.gauge("netsim.fault.node_availability", fault.node_availability);
+    }
+    // Latency histograms, handed over once per run in delivery order —
+    // the same keys and bits as one `observe` per delivered packet. The
+    // global one is a copy taken before `p95` below sorts `latency` in
+    // place (a sorted summary no longer replays in delivery order).
+    if rec.enabled() {
+        rec.observe_summary("netsim.latency_s", latency.clone());
+        for (i, s) in flow_latency.into_iter().enumerate() {
+            if !s.is_empty() {
+                rec.observe_summary(&format!("netsim.flow.{i}.latency_s"), s);
+            }
+        }
     }
 
     let mean = latency.mean();
@@ -1974,6 +1988,53 @@ mod tests {
         assert!(rec.maximum("engine.queue_depth_high_water").unwrap() >= 1.0);
         // Initial routing for two flows.
         assert!(rec.counter("routing.recomputes") >= 2);
+    }
+
+    #[test]
+    fn per_flow_latency_is_handed_over_once_per_run() {
+        use openspace_telemetry::MemoryRecorder;
+        // A path 0–1–3 plus an isolated node 4: flow 1 never delivers.
+        let mut g = Graph::new(5, 0);
+        g.add_bidirectional(0, 1, 0.002, 2e6, 0, 0, LinkTech::Rf);
+        g.add_bidirectional(1, 3, 0.002, 2e6, 0, 0, LinkTech::Rf);
+        let flows = [
+            FlowSpec::new(0, 3, 1e6, 1_200, TrafficKind::Poisson),
+            flow(0, 4, 1e5),
+            flow(3, 0, 0.5e6),
+        ];
+        let sim = NetSim::new(NetSimConfig {
+            duration_s: 10.0,
+            seed: 5,
+            ..Default::default()
+        })
+        .with_snapshot(&g);
+        let mut rec = MemoryRecorder::new();
+        let r = sim.run_recorded(&flows, &mut rec).unwrap();
+        assert!(r.unroutable > 0 && r.delivered > 0);
+        let count = |rec: &MemoryRecorder, i: usize| {
+            rec.histogram(&format!("netsim.flow.{i}.latency_s"))
+                .map_or(0, |s| s.count() as u64)
+        };
+        assert!(rec.histogram("netsim.flow.1.latency_s").is_none());
+        assert_eq!(count(&rec, 0) + count(&rec, 2), r.delivered);
+        // The global histogram is the report's summary, bit for bit.
+        let mut all = rec.histogram("netsim.latency_s").unwrap().clone();
+        assert_eq!(all.count() as u64, r.delivered);
+        assert_eq!(all.mean().to_bits(), r.mean_latency_s.to_bits());
+        assert_eq!(all.p95().to_bits(), r.p95_latency_s.to_bits());
+        let first = rec.histogram("netsim.flow.0.latency_s").unwrap().clone();
+
+        // A second run into the same recorder replays onto every key.
+        let again = sim.run_recorded(&flows, &mut rec).unwrap();
+        assert_eq!(again, r);
+        assert!(rec.histogram("netsim.flow.1.latency_s").is_none());
+        assert_eq!(count(&rec, 0) + count(&rec, 2), 2 * r.delivered);
+        let mut twice = first.clone();
+        twice.merge(&first);
+        let merged = rec.histogram("netsim.flow.0.latency_s").unwrap();
+        assert_eq!(merged.count(), twice.count());
+        assert_eq!(merged.mean().to_bits(), twice.mean().to_bits());
+        assert_eq!(merged.std_dev().to_bits(), twice.std_dev().to_bits());
     }
 
     #[test]

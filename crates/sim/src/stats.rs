@@ -89,7 +89,17 @@ impl Summary {
     /// serial run would have produced. (Combining Welford moments with
     /// Chan's formula would be O(1) but rounds differently than
     /// sequential accumulation, breaking that contract.)
+    ///
+    /// The contract holds only while `other` still stores its samples in
+    /// insertion order: a [`quantile`](Summary::quantile) query sorts
+    /// them in place, after which a replay would feed sorted order.
+    /// Merging a summary that has been queried is therefore a caller
+    /// bug, caught by a debug assertion.
     pub fn merge(&mut self, other: &Summary) {
+        debug_assert!(
+            !other.sorted,
+            "merging a quantile-sorted summary replays sorted order, not insertion order"
+        );
         self.samples.reserve(other.samples.len());
         for &x in &other.samples {
             self.add(x);
@@ -238,6 +248,17 @@ mod tests {
         assert_eq!(a.mean().to_bits(), serial.mean().to_bits());
         assert_eq!(a.std_dev().to_bits(), serial.std_dev().to_bits());
         assert_eq!(a.median().to_bits(), serial.median().to_bits());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "quantile-sorted")]
+    fn merge_of_a_queried_summary_panics_in_debug() {
+        let mut b = Summary::new();
+        b.add(2.0);
+        b.add(1.0);
+        b.median(); // sorts `b` in place
+        Summary::new().merge(&b);
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! the public schema of the metric dump (see DESIGN.md §4,
 //! "Observability").
 //!
+//! Per-sample hot paths (the packet engine's per-flow latency) keep
+//! dense local accumulators and hand each histogram over once per run
+//! through [`Recorder::observe_summary`], so the keyed lookup is paid
+//! per key, not per sample.
+//!
 //! * [`NullRecorder`] — every method is an empty body; the compiler
 //!   reduces instrumentation to a virtual call that does nothing.
 //! * [`MemoryRecorder`] — in-process aggregation with a deterministic
@@ -27,7 +32,8 @@ use std::time::Instant;
 /// [`openspace_sim::exec::parallel_map_seeded`]).
 pub trait Recorder {
     /// Whether records are kept. Hot paths may skip building dynamic
-    /// keys (e.g. per-flow histogram names) when this is `false`.
+    /// keys (e.g. per-flow histogram names) and per-run accumulators
+    /// when this is `false`.
     fn enabled(&self) -> bool {
         true
     }
@@ -43,6 +49,15 @@ pub trait Recorder {
 
     /// Add one sample to the histogram `key`.
     fn observe(&mut self, key: &str, value: f64);
+
+    /// Add a whole run's samples to the histogram `key` at once:
+    /// bit-identical to one [`observe`](Recorder::observe) per sample
+    /// in `samples`' insertion order. Hot loops accumulate into a local
+    /// [`Summary`] (a dense slot per flow, say) and hand it over here
+    /// once, instead of paying a keyed lookup per sample. `samples`
+    /// must not have been queried for a quantile, which sorts it in
+    /// place (see [`Summary::merge`]). An empty summary creates no key.
+    fn observe_summary(&mut self, key: &str, samples: Summary);
 
     /// Record one completed span: `wall_s` of wall-clock time and
     /// `sim_s` of simulated time under `key`. Wall time lands in the
@@ -66,6 +81,7 @@ impl Recorder for NullRecorder {
     fn gauge(&mut self, _key: &str, _value: f64) {}
     fn gauge_max(&mut self, _key: &str, _value: f64) {}
     fn observe(&mut self, _key: &str, _value: f64) {}
+    fn observe_summary(&mut self, _key: &str, _samples: Summary) {}
     fn span(&mut self, _key: &str, _wall_s: f64, _sim_s: f64) {}
 }
 
@@ -142,7 +158,10 @@ impl MemoryRecorder {
     /// histograms *replay* the other recorder's samples through
     /// [`Summary::merge`] rather than combining moments with Chan's
     /// formula, which would round differently than sequential
-    /// accumulation.
+    /// accumulation. So merge `other` before dumping it: its
+    /// [`deterministic_json`](MemoryRecorder::deterministic_json) sorts
+    /// its histograms in place, and `Summary::merge` debug-asserts
+    /// against replaying a sorted summary.
     pub fn merge(&mut self, other: &MemoryRecorder) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
@@ -274,6 +293,21 @@ impl Recorder for MemoryRecorder {
         }
     }
 
+    /// An absent key takes `samples` by move (its Welford state is
+    /// exactly what per-sample `observe` would have built); a present
+    /// one replays them through [`Summary::merge`].
+    fn observe_summary(&mut self, key: &str, samples: Summary) {
+        if samples.is_empty() {
+            return;
+        }
+        match self.histograms.get_mut(key) {
+            Some(s) => s.merge(&samples),
+            None => {
+                self.histograms.insert(key.to_owned(), samples);
+            }
+        }
+    }
+
     fn span(&mut self, key: &str, wall_s: f64, sim_s: f64) {
         if !self.spans.contains_key(key) {
             self.spans.insert(key.to_owned(), SpanAgg::default());
@@ -386,6 +420,54 @@ mod tests {
             serial.deterministic_json().to_string(),
             a.deterministic_json().to_string()
         );
+    }
+
+    fn summary_of(xs: &[f64]) -> Summary {
+        let mut s = Summary::new();
+        xs.iter().for_each(|&x| s.add(x));
+        s
+    }
+
+    #[test]
+    fn observe_summary_equals_per_sample_observe_bitwise() {
+        let (xs, ys) = ([0.3, 0.1, 0.7], [0.2, 0.9]);
+        let mut per_sample = MemoryRecorder::new();
+        for &x in xs.iter().chain(&ys) {
+            per_sample.observe("h", x);
+        }
+        // First hand-over lands on an absent key (moved in), the
+        // second on an existing one (replayed through `Summary::merge`).
+        let mut handed = MemoryRecorder::new();
+        handed.observe_summary("h", summary_of(&xs));
+        handed.observe_summary("h", summary_of(&ys));
+        assert_eq!(
+            per_sample.deterministic_json().to_string(),
+            handed.deterministic_json().to_string()
+        );
+        // Mixed with plain `observe` on the same key, in either order.
+        let mut mixed = MemoryRecorder::new();
+        mixed.observe("h", xs[0]);
+        mixed.observe_summary("h", summary_of(&xs[1..]));
+        ys.iter().for_each(|&y| mixed.observe("h", y));
+        assert_eq!(
+            per_sample.deterministic_json().to_string(),
+            mixed.deterministic_json().to_string()
+        );
+    }
+
+    #[test]
+    fn empty_summary_creates_no_key() {
+        let mut rec = MemoryRecorder::new();
+        rec.observe_summary("h", Summary::new());
+        assert!(rec.histogram("h").is_none());
+        assert!(rec.is_empty());
+    }
+
+    #[test]
+    fn null_recorder_ignores_observe_summary() {
+        let mut rec = NullRecorder;
+        rec.observe_summary("h", summary_of(&[1.0, 2.0]));
+        assert!(!rec.enabled());
     }
 
     #[test]
