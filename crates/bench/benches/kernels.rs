@@ -424,6 +424,48 @@ fn bench_extensions() {
     bench("timeline_build_30ticks_serial", window(), || {
         black_box(TopologyTimeline::build(&dyn_provider, 0.0, 1.0, 30.0, 1)).ok();
     });
+
+    // The replan-heavy kernel: the benchmark's `churn_adaptive` shape
+    // cut to 30 s. A 4-member CubeSat federation moving on a 5 s
+    // timeline, 512 light Poisson flows plus four 8 Mbit/s flows from
+    // the satellite over Nairobi, adaptive replans every 0.5 s.
+    use openspace_bench::scenario::{access_satellite, nairobi_user, standard_federation};
+    use openspace_core::netsim::RoutingMode;
+    use openspace_phy::hardware::SatelliteClass;
+    let fed = standard_federation(4, &[SatelliteClass::CubeSat]);
+    let churn_tl = fed.timeline(5.0, 30.0, 1).expect("valid timeline horizon");
+    let (hot_sat, _) =
+        access_satellite(&fed, nairobi_user(), 0.0).expect("a satellite over Nairobi");
+    let g0 = churn_tl.base();
+    let (n_sats, n_stations) = (fed.satellites().len(), fed.stations().len());
+    let poisson =
+        |src, dst, rate_bps| FlowSpec::new(src, dst, rate_bps, 1_500, TrafficKind::Poisson);
+    let mut churn_flows: Vec<FlowSpec> = (0..512)
+        .map(|i| {
+            poisson(
+                g0.sat_node((7 * i) % n_sats),
+                g0.station_node(i % n_stations),
+                10.0e3,
+            )
+        })
+        .collect();
+    churn_flows.extend((0..4).map(|_| poisson(g0.sat_node(hot_sat), g0.station_node(0), 8.0e6)));
+    let churn_cfg = NetSimConfig {
+        duration_s: 30.0,
+        queue_capacity_bytes: 512 * 1024,
+        routing: RoutingMode::Adaptive {
+            replan_interval_s: 0.5,
+        },
+        seed: 1,
+    };
+    bench("netsim_adaptive_timeline_512_flows", window(), || {
+        black_box(
+            NetSim::new(churn_cfg)
+                .with_timeline(&churn_tl)
+                .run(&churn_flows),
+        )
+        .ok();
+    });
 }
 
 fn bench_engine() {

@@ -36,7 +36,7 @@
 //! path produces, pinned by `tests/tests/netsim_delta_equivalence.rs`.
 
 use openspace_net::outage::OutageTracker;
-use openspace_net::routing::{latency_weight, QosRequirement, RoutePlanner};
+use openspace_net::routing::{latency_weight, Path, QosRequirement, RoutePlanner};
 use openspace_net::timeline::{TopologyProvider, TopologyTimeline};
 use openspace_net::topology::{Graph, NodeId};
 use openspace_sim::config::{require_positive, ConfigError};
@@ -344,29 +344,25 @@ struct PktId(u32);
 struct Pkt {
     bytes: u32,
     created_s: f64,
-    /// The node sequence of the compiled route (for arrival-node and
-    /// delivery checks).
-    nodes: Rc<[NodeId]>,
-    /// The per-hop link indices of the compiled route: hop `h` forwards
-    /// on `links[h]`, by array index instead of hashing a node pair.
-    links: Rc<[LinkId]>,
+    /// The compiled route: hop `h` forwards on `links[h]`, by array
+    /// index instead of hashing a node pair. Hop `h` arrives at the far
+    /// end of `links[h]`, `table.pairs[links[h]].1`, and the packet is
+    /// delivered once `hop == links.len()` (routes are never empty:
+    /// `validate` rejects flows with `src == dst`).
+    links: CompiledRoute,
     hop: u32,
     /// Index into the flow list, for per-flow latency telemetry.
     flow: u32,
 }
 
-/// A route compiled against the run's [`LinkTable`]: the planner's node
-/// path plus the [`LinkId`] of every hop. Compiled once per (re)plan;
-/// packets carry `Rc` clones of both arrays.
-#[derive(Clone)]
-struct CompiledRoute {
-    nodes: Rc<[NodeId]>,
-    links: Rc<[LinkId]>,
-}
+/// A route compiled against the run's [`LinkTable`]: the [`LinkId`] of
+/// every hop of the planner's path. Compiled once per distinct
+/// `(src, dst)` per (re)plan and shared by every flow and packet on it.
+type CompiledRoute = Rc<[LinkId]>;
 
 /// Simulation events. Every variant is ≤ 8 bytes of payload — packet
-/// state lives in the [`PktSlab`] — so the event queue moves 24-byte
-/// `(time, seq, event)` entries through the hot loop.
+/// state lives in the [`PktSlab`] — so the event queue moves 32-byte
+/// `(u128 key, event)` entries through the hot loop.
 enum Ev {
     Inject(u32),
     /// Demand-tick boundary `k`: retire batch `k-1`, activate batch `k`.
@@ -581,20 +577,6 @@ impl LinkTable {
         Some(queued)
     }
 
-    /// Alive `(pair, id)` entries in sorted pair order — the
-    /// deterministic iteration the replan path needs (the old code
-    /// sorted the hash map's keys for the same reason).
-    fn sorted_alive(&self) -> Vec<((NodeId, NodeId), LinkId)> {
-        let mut out: Vec<((NodeId, NodeId), LinkId)> = self
-            .index
-            .iter()
-            .filter(|(_, &id)| self.slots[id.0 as usize].alive)
-            .map(|(&pair, &id)| (pair, id))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Sync the table to a fresh snapshot — the old `rebuild_links`:
     /// links present in both keep queue/EWMA (capacity and latency
     /// refreshed), links only in the graph come up fresh, links only in
@@ -635,15 +617,11 @@ impl LinkTable {
     }
 
     /// Compile a planner path into per-hop [`LinkId`]s.
-    fn compile(&mut self, nodes: Vec<NodeId>) -> CompiledRoute {
-        let links: Vec<LinkId> = nodes
+    fn compile(&mut self, nodes: &[NodeId]) -> CompiledRoute {
+        nodes
             .windows(2)
             .map(|w| self.id_for((w[0], w[1])))
-            .collect();
-        CompiledRoute {
-            nodes: Rc::from(nodes.into_boxed_slice()),
-            links: Rc::from(links.into_boxed_slice()),
-        }
+            .collect()
     }
 }
 
@@ -771,9 +749,9 @@ impl<'a> NetSim<'a> {
     ///
     /// Fails with [`ConfigError`] on a missing topology source, empty
     /// flows (unless a non-empty demand workload is attached),
-    /// out-of-range nodes, non-positive
-    /// durations/rates/intervals, or a timeline that starts after
-    /// `t = 0` or ends before the configured duration.
+    /// out-of-range nodes, a flow whose source is its destination,
+    /// non-positive durations/rates/intervals, or a timeline that starts
+    /// after `t = 0` or ends before the configured duration.
     pub fn run(&self, flows: &[FlowSpec]) -> Result<NetSimReport, ConfigError> {
         self.run_recorded(flows, &mut NullRecorder)
     }
@@ -860,6 +838,12 @@ fn validate(
                     len: n,
                 });
             }
+        }
+        if f.src == f.dst {
+            return Err(ConfigError::SameEndpoints {
+                field: "flow",
+                index: f.src.0,
+            });
         }
         require_positive("flow.rate_bps", f.rate_bps)?;
         if f.packet_bytes == 0 {
@@ -1066,8 +1050,7 @@ fn run_netsim_core(
                 let pid = slab.alloc(Pkt {
                     bytes: f.packet_bytes,
                     created_s: now,
-                    nodes: Rc::clone(&route.nodes),
-                    links: Rc::clone(&route.links),
+                    links: Rc::clone(route),
                     hop: 0,
                     flow: i as u32,
                 });
@@ -1170,12 +1153,12 @@ fn run_netsim_core(
             q.schedule(arrive_at, Ev::HopArrive(pid));
         }
         Ev::HopArrive(pid) => {
-            // The arrival node is the hop's endpoint, `nodes[hop + 1]` —
-            // identical to the node the old fat event carried, since
-            // planner paths are simple (each node appears once).
+            // The arrival node is the far end of the hop's link. A
+            // slot's pair never changes, so this holds even after the
+            // link died.
             let (hop, node) = {
                 let p = slab.get(pid);
-                (p.hop, p.nodes[p.hop as usize + 1])
+                (p.hop, table.pairs[p.links[p.hop as usize].0 as usize].1)
             };
             if down_nodes.contains(&node) {
                 // The receiver died while the packet was in flight.
@@ -1186,7 +1169,7 @@ fn run_netsim_core(
             }
             let p = slab.get_mut(pid);
             p.hop = hop + 1;
-            if p.hop as usize + 1 == p.nodes.len() {
+            if p.hop as usize == p.links.len() {
                 let lat = now - p.created_s;
                 let flow = p.flow as usize;
                 slab.free(pid);
@@ -1213,13 +1196,16 @@ fn run_netsim_core(
                 return; // replan only ticks in adaptive mode
             };
             // Measure utilization, fold into EWMA, push into the graph.
-            // The per-link effects are independent today, but iterate in
-            // sorted pair order anyway (the table's pair index is a
-            // `HashMap` with a per-instance random hasher), so a future
-            // non-commutative edit inside this loop cannot silently
-            // break bit-reproducibility across processes.
-            for ((u, v), lid) in table.sorted_alive() {
-                let link = table.link_mut(lid);
+            // Walk the slots in `LinkId` order, never the pair index (a
+            // `HashMap` with a per-instance random hasher). Slot order is
+            // deterministic — slots are append-only, assigned in graph
+            // and route-compile order — and the per-link updates
+            // commute anyway: `max` plus one independent EWMA and
+            // `set_load` per pair.
+            for (link, &(u, v)) in table.slots.iter_mut().zip(&table.pairs) {
+                if !link.alive {
+                    continue;
+                }
                 let util = link.bits_sent / interval / link.capacity_bps;
                 // The report's max takes the raw sample (matching the
                 // end-of-run sample); only the EWMA feeding
@@ -1417,7 +1403,7 @@ fn run_netsim_core(
             let adaptive = replan_interval.is_some();
             let broken_idxs: Vec<usize> = (0..flows.len())
                 .filter(|&i| match &routes[i] {
-                    Some(route) => route.links.iter().any(|&lid| !table.link(lid).alive),
+                    Some(route) => route.iter().any(|&lid| !table.link(lid).alive),
                     None => true,
                 })
                 .collect();
@@ -1559,7 +1545,9 @@ fn start_flow(f: &FlowSpec, rng: &mut SimRng, now: f64, on_until: &mut f64) -> f
 /// per-flow costs this simulator has always used, so the extracted paths
 /// are bit-for-bit those of the old one-search-per-flow code. Each path
 /// is compiled into [`LinkId`] form against `table` as it is extracted —
-/// no intermediate `Vec<Path>` is materialized.
+/// no intermediate `Vec<Path>` is materialized — and compiled once per
+/// distinct `(src, dst)`: within one call a source's tree yields one
+/// path per destination, so flows sharing a pair share one `Rc`.
 fn plan_flow_routes(
     planner: &mut RoutePlanner,
     graph: &Graph,
@@ -1571,23 +1559,25 @@ fn plan_flow_routes(
 ) -> Vec<Option<CompiledRoute>> {
     let requests: Vec<(NodeId, NodeId)> =
         idxs.iter().map(|&i| (flows[i].src, flows[i].dst)).collect();
+    let mut compiled: HashMap<(NodeId, NodeId), CompiledRoute> = HashMap::new();
+    let intern = |p: Path| {
+        let pair = (p.nodes[0], p.nodes[p.nodes.len() - 1]);
+        let route = compiled
+            .entry(pair)
+            .or_insert_with(|| table.compile(&p.nodes));
+        Some(Rc::clone(route))
+    };
     if adaptive {
         planner.plan_qos_mapped_recorded(
             graph,
             &requests,
             &QosRequirement::best_effort(),
             12_000.0,
-            |p| Some(table.compile(p.nodes)),
+            intern,
             rec,
         )
     } else {
-        planner.plan_mapped_recorded(
-            graph,
-            &requests,
-            latency_weight,
-            |p| Some(table.compile(p.nodes)),
-            rec,
-        )
+        planner.plan_mapped_recorded(graph, &requests, latency_weight, intern, rec)
     }
 }
 
@@ -2323,6 +2313,31 @@ mod tests {
     }
 
     #[test]
+    fn packets_propagating_toward_a_failed_node_are_fault_losses() {
+        // A 0.5 s link carrying ~8 packets/s: when node 1 fails at 5 s,
+        // about four packets are still propagating toward it. They must
+        // die on arrival at the dead receiver, not count as delivered.
+        let mut g = Graph::new(2, 0);
+        g.add_bidirectional(0, 1, 0.5, 1e6, 0, 0, LinkTech::Rf);
+        let plan = FaultPlan::builder()
+            .sat_failure(1usize, 5.0)
+            .build()
+            .unwrap();
+        let events = compile_plan(&plan, 2);
+        let r = NetSim::new(NetSimConfig {
+            duration_s: 20.0,
+            ..Default::default()
+        })
+        .with_snapshot(&g)
+        .with_faults(&events)
+        .run(&[flow(0, 1, 1e5)])
+        .unwrap();
+        assert!(r.fault.packets_lost >= 3, "lost {}", r.fault.packets_lost);
+        assert_eq!(r.dropped, r.fault.packets_lost);
+        assert_eq!(r.delivered + r.dropped + r.unroutable, r.generated);
+    }
+
+    #[test]
     fn link_flap_loses_only_the_flapping_links_packets() {
         let g = diamond(5e6);
         // Flap the 1-3 link; flow re-routes during down phases.
@@ -2595,5 +2610,134 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         assert!(a.generated > 0 && a.delivered > 0);
+    }
+
+    /// Flows for the shared-route tests: several flows per `(src, dst)`
+    /// pair and several destinations per source, Poisson and CBR,
+    /// loading the fast path past capacity so adaptive replans move
+    /// traffic.
+    fn shared_pair_flows() -> Vec<FlowSpec> {
+        let mut flows = Vec::new();
+        for _ in 0..4 {
+            flows.push(FlowSpec::new(0, 3, 3e5, 1_500, TrafficKind::Poisson));
+        }
+        flows.push(flow(3, 0, 2e5));
+        flows.push(flow(1, 2, 1e5));
+        flows.push(flow(0, 2, 1e5));
+        flows.push(flow(3, 0, 2e5));
+        flows.push(flow(0, 2, 1e5));
+        flows
+    }
+
+    fn shared_pair_report() -> NetSimReport {
+        let g = diamond(1e6);
+        let cfg = NetSimConfig {
+            duration_s: 20.0,
+            routing: RoutingMode::Adaptive {
+                replan_interval_s: 1.0,
+            },
+            ..Default::default()
+        };
+        NetSim::new(cfg)
+            .with_snapshot(&g)
+            .run(&shared_pair_flows())
+            .unwrap()
+    }
+
+    #[test]
+    fn flows_sharing_a_pair_share_one_compiled_route() {
+        let g = diamond(1e6);
+        let flows = shared_pair_flows();
+        let idxs: Vec<usize> = (0..flows.len()).collect();
+        for adaptive in [false, true] {
+            let mut slab = PktSlab::default();
+            let mut table = LinkTable::new();
+            for u in 0..g.node_count() {
+                for e in g.edges(u) {
+                    table.revive(
+                        (NodeId(u), e.to),
+                        e.capacity_bps,
+                        e.latency_s,
+                        0.0,
+                        &mut slab,
+                    );
+                }
+            }
+            let routes = plan_flow_routes(
+                &mut RoutePlanner::new(),
+                &g,
+                &mut table,
+                &flows,
+                &idxs,
+                adaptive,
+                &mut NullRecorder,
+            );
+            let routes: Vec<CompiledRoute> = routes.into_iter().map(Option::unwrap).collect();
+            for (i, a) in routes.iter().enumerate() {
+                for (j, b) in routes.iter().enumerate() {
+                    let same_pair = (flows[i].src, flows[i].dst) == (flows[j].src, flows[j].dst);
+                    assert_eq!(Rc::ptr_eq(a, b), same_pair, "flows {i}, {j}");
+                }
+                // The compiled hops chain from the flow's source to its
+                // destination.
+                let hops: Vec<(NodeId, NodeId)> =
+                    a.iter().map(|l| table.pairs[l.0 as usize]).collect();
+                assert_eq!(hops[0].0, flows[i].src);
+                assert_eq!(hops[hops.len() - 1].1, flows[i].dst);
+                assert!(hops.windows(2).all(|w| w[0].1 == w[1].0));
+            }
+        }
+    }
+
+    #[test]
+    fn shared_routes_leave_the_report_bits_unchanged() {
+        // Bits pinned from the implementation that compiled one route
+        // per flow and stored each packet's node path.
+        let r = shared_pair_report();
+        assert_eq!(
+            (r.generated, r.delivered, r.dropped, r.unroutable),
+            (3118, 3081, 0, 0)
+        );
+        assert_eq!(r.delivery_ratio.to_bits(), 0x3fef9ec9f9c29616);
+        assert_eq!(r.mean_latency_s.to_bits(), 0x3fc8c0306442605c);
+        assert_eq!(r.p95_latency_s.to_bits(), 0x3fe046ca83dfb390);
+        assert_eq!(r.max_link_utilization.to_bits(), 0x3ff020c49ba5e354);
+    }
+
+    #[test]
+    fn flow_to_itself_is_a_config_error() {
+        // Such a flow compiles to an empty route; without this check the
+        // run panicked inside the event loop indexing its first hop.
+        let mut g = Graph::new(2, 0);
+        g.add_bidirectional(0, 1, 0.002, 1e6, 0, 0, LinkTech::Rf);
+        let want = ConfigError::SameEndpoints {
+            field: "flow",
+            index: 1,
+        };
+        let cfg = NetSimConfig::default();
+        let err = NetSim::new(cfg)
+            .with_snapshot(&g)
+            .run(&[flow(0, 1, 1e5), flow(1, 1, 1e5)])
+            .unwrap_err();
+        assert_eq!(err, want);
+        let provider = |_t: f64| g.clone();
+        let tl = TopologyTimeline::build(&provider, 0.0, 1.0, cfg.duration_s, 1).unwrap();
+        let err = NetSim::new(cfg)
+            .with_timeline(&tl)
+            .run(&[flow(1, 1, 1e5)])
+            .unwrap_err();
+        assert_eq!(err, want);
+        // In a demand batch that only activates at the second tick.
+        let demand = DemandWorkload::new(vec![
+            (0.0, vec![flow(0, 1, 1e5)]),
+            (5.0, vec![flow(1, 1, 1e5)]),
+        ])
+        .unwrap();
+        let err = NetSim::new(cfg)
+            .with_snapshot(&g)
+            .with_demand(&demand)
+            .run(&[])
+            .unwrap_err();
+        assert_eq!(err, want);
     }
 }

@@ -50,19 +50,40 @@ impl Path {
 /// pop sequence — and with it every extracted path — a pure function of
 /// `(graph, source, weight)`, the property the batched
 /// [`RoutePlanner`](crate::routing::RoutePlanner) relies on.
-#[derive(PartialEq)]
+///
+/// The order is held as one `u128` key, `(cost.to_bits() << 64) | node`,
+/// so a heap comparison is one integer compare. The searches only ever
+/// push costs that are sums of non-negative, non-NaN weights starting
+/// from `+0.0`, hence `+0.0` or positive. For those the IEEE bit pattern
+/// orders exactly as `f64::total_cmp`, so the key order is
+/// `(total_cmp(cost), node)` order.
+#[derive(PartialEq, Eq)]
 pub(crate) struct HeapEntry {
-    pub(crate) cost: f64,
-    pub(crate) node: NodeId,
+    key: u128,
 }
-impl Eq for HeapEntry {}
+impl HeapEntry {
+    pub(crate) fn new(cost: f64, node: NodeId) -> Self {
+        debug_assert!(
+            cost.is_sign_positive() && !cost.is_nan(),
+            "heap cost must be +0.0 or positive, got {cost}"
+        );
+        Self {
+            key: (u128::from(cost.to_bits()) << 64) | node.0 as u128,
+        }
+    }
+
+    pub(crate) fn cost(&self) -> f64 {
+        f64::from_bits((self.key >> 64) as u64)
+    }
+
+    pub(crate) fn node(&self) -> NodeId {
+        NodeId(self.key as u64 as usize)
+    }
+}
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by cost; tie-break on node index for determinism.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then(other.node.cmp(&self.node))
+        // Min-heap: BinaryHeap pops the greatest, so invert.
+        other.key.cmp(&self.key)
     }
 }
 impl PartialOrd for HeapEntry {
@@ -233,6 +254,54 @@ mod tests {
         let a = shortest_path(&g, 0, 3, latency_weight).unwrap();
         let b = shortest_path(&g, 0, 3, latency_weight).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn heap_entry_orders_as_total_cmp_then_node() {
+        use openspace_sim::rng::SimRng;
+        use std::collections::BinaryHeap;
+        // Costs the searches can push: running sums of non-negative
+        // weights from +0.0, with zero-weight edges and equal costs
+        // (repeated weights, shared nodes) common, plus a few extremes.
+        for seed in 0..64u64 {
+            let mut rng = SimRng::new(seed);
+            let palette = [0.0, 0.0, 1e-3, 1e-3, 2.5e-3, 0.25, 7.0];
+            let mut entries = vec![(0.0f64, NodeId(0))];
+            let mut cost = 0.0f64;
+            for _ in 0..200 {
+                let w = if rng.chance(0.5) {
+                    palette[rng.index(palette.len())]
+                } else {
+                    rng.uniform() * 10f64.powi(rng.index(9) as i32 - 4)
+                };
+                cost = if rng.chance(0.2) { 0.0 } else { cost } + w;
+                entries.push((cost, NodeId(rng.index(16))));
+            }
+            entries.extend([
+                (f64::MIN_POSITIVE / 4.0, NodeId(3)),
+                (1e300, NodeId(1)),
+                (f64::MAX, NodeId(usize::MAX)),
+                (f64::INFINITY, NodeId(2)),
+            ]);
+            let mut expected = entries.clone();
+            expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+            let mut heap: BinaryHeap<HeapEntry> =
+                entries.iter().map(|&(c, n)| HeapEntry::new(c, n)).collect();
+            let mut popped = Vec::new();
+            while let Some(e) = heap.pop() {
+                popped.push((e.cost(), e.node()));
+            }
+            let bits = |v: &[(f64, NodeId)]| -> Vec<(u64, NodeId)> {
+                v.iter().map(|&(c, n)| (c.to_bits(), n)).collect()
+            };
+            assert_eq!(bits(&popped), bits(&expected), "seed {seed}");
+            for (a, b) in entries.iter().zip(entries.iter().skip(1)) {
+                let want = b.0.total_cmp(&a.0).then(b.1.cmp(&a.1));
+                let got = HeapEntry::new(a.0, a.1).cmp(&HeapEntry::new(b.0, b.1));
+                assert_eq!(got, want, "seed {seed}: {a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

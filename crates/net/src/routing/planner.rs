@@ -89,10 +89,7 @@ impl Tree {
             buffers.gen += 1;
         }
         buffers.touch(src, 0.0);
-        buffers.heap.push(HeapEntry {
-            cost: 0.0,
-            node: src,
-        });
+        buffers.heap.push(HeapEntry::new(0.0, src));
         buffers
     }
 
@@ -135,10 +132,11 @@ impl Tree {
         }
         let mut visited = 0u64;
         loop {
-            let Some(HeapEntry { cost, node }) = self.heap.pop() else {
+            let Some(entry) = self.heap.pop() else {
                 self.exhausted = true;
                 break;
             };
+            let (cost, node) = (entry.cost(), entry.node());
             if cost > self.dist_of(node) {
                 continue; // stale entry
             }
@@ -154,10 +152,7 @@ impl Tree {
                 if next < self.dist_of(e.to) {
                     self.touch(e.to, next);
                     self.prev[e.to.0] = node;
-                    self.heap.push(HeapEntry {
-                        cost: next,
-                        node: e.to,
-                    });
+                    self.heap.push(HeapEntry::new(next, e.to));
                 }
             }
             if node == dst {

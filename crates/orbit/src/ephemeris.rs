@@ -91,17 +91,22 @@ impl EphemerisCache {
         }
         // Compute outside the lock: propagation is the expensive part,
         // and recomputing a sample another thread races us to is
-        // harmless (pure function, identical value).
+        // harmless (pure function, identical value). Only the thread
+        // whose insert creates the entry counts a miss; a race loser
+        // counts a hit, so `misses == len()` whatever the interleaving.
         let eci = prop.position_eci(t_s);
         let sample = EphemerisSample {
             eci,
             ecef: eci_to_ecef(eci, t_s),
         };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
+        let fresh = self
+            .map
             .lock()
             .expect("ephemeris cache lock")
-            .insert(key, sample);
+            .insert(key, sample)
+            .is_none();
+        let counter = if fresh { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
         sample
     }
 
@@ -187,12 +192,16 @@ impl VisibilityCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (v, sample);
         }
+        // As in `EphemerisCache::sample`: a race loser counts a hit.
         let v = is_visible(ground_ecef, sample.ecef, min_elevation_rad);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
+        let fresh = self
+            .map
             .lock()
             .expect("visibility cache lock")
-            .insert(key, v);
+            .insert(key, v)
+            .is_none();
+        let counter = if fresh { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
         (v, sample)
     }
 
@@ -201,7 +210,8 @@ impl VisibilityCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache misses so far (visibility layer only).
+    /// Cache misses (= distinct visibility tests stored) so far
+    /// (visibility layer only).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -283,5 +293,37 @@ mod tests {
         });
         assert_eq!(cache.len(), 16);
         assert_eq!(cache.hits() + cache.misses(), 64);
+    }
+
+    #[test]
+    fn racing_threads_count_one_miss_per_stored_entry() {
+        // Many threads ask for the same keys at once, so several of them
+        // compute a sample and race to insert it. Only the insert that
+        // creates an entry may count a miss; every other lookup is a hit.
+        let threads = 8;
+        let keys = 64;
+        for round in 0..8 {
+            let vis = VisibilityCache::new();
+            let p = prop(round as f64);
+            let ground = geodetic_to_ecef(Geodetic::from_degrees(10.0, 20.0, 0.0));
+            let barrier = std::sync::Barrier::new(threads);
+            std::thread::scope(|s| {
+                for _ in 0..threads {
+                    s.spawn(|| {
+                        barrier.wait();
+                        for k in 0..keys {
+                            vis.visible(&p, k as f64, ground, 0.0);
+                        }
+                    });
+                }
+            });
+            let eph = vis.ephemeris();
+            let lookups = (threads * keys) as u64;
+            assert_eq!(eph.len(), keys);
+            assert_eq!(eph.misses(), keys as u64, "round {round}");
+            assert_eq!(eph.hits() + eph.misses(), lookups);
+            assert_eq!(vis.misses(), keys as u64, "round {round}");
+            assert_eq!(vis.hits() + vis.misses(), lookups);
+        }
     }
 }

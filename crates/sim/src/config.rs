@@ -64,6 +64,14 @@ pub enum ConfigError {
         /// Name of the offending field.
         field: &'static str,
     },
+    /// Two endpoints that must differ name the same entity (e.g. a flow
+    /// from a node to itself).
+    SameEndpoints {
+        /// Name of the offending field.
+        field: &'static str,
+        /// The index both endpoints share.
+        index: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -89,6 +97,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "{field} interval inverted ({start} > {end})")
             }
             ConfigError::NotFinite { field } => write!(f, "{field} must be finite"),
+            ConfigError::SameEndpoints { field, index } => {
+                write!(f, "{field} endpoints must differ (both are {index})")
+            }
         }
     }
 }

@@ -7,8 +7,12 @@
 //!
 //! [`EventQueue`] is the simulator's one event queue: a binary heap
 //! ordered lexicographically by `(time, seq)`, `O(log n)` per operation.
-//! The property suite in `tests/tests/proptest_sim.rs` pins its exact
-//! pop order against a sorted-`Vec` oracle.
+//! The order is realised as one `u128` key per entry,
+//! `(time.to_bits() << 64) | seq`, so each heap comparison is a single
+//! integer compare; for the finite, non-negative times
+//! [`EventQueue::schedule`] admits, bit order is numeric order.
+//! `tests/tests/engine_equivalence.rs` pins its exact pop order against
+//! a sorted-`Vec` oracle.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -16,15 +20,29 @@ use std::collections::BinaryHeap;
 /// Simulation timestamp (seconds since simulation epoch).
 pub type SimTime = f64;
 
+/// A queued event under its ordering key
+/// `(time.to_bits() << 64) | seq`.
+///
+/// [`EventQueue::schedule`] admits only finite times `at >= now >= 0`.
+/// For non-negative finite doubles the IEEE bit pattern, read as an
+/// unsigned integer, orders exactly as the value does, so comparing keys
+/// as integers is comparing `(time, seq)` lexicographically. The one
+/// exception, `-0.0` (sign bit set, yet equal to `0.0`), is normalised
+/// to `+0.0` before the key is built.
 struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
+    key: u128,
     event: E,
+}
+
+impl<E> Scheduled<E> {
+    fn time(&self) -> SimTime {
+        SimTime::from_bits((self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -32,13 +50,8 @@ impl<E> Eq for Scheduled<E> {}
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: invert so the earliest time (then the
-        // lowest sequence number) pops first. Times are finite by
-        // construction (schedule() rejects NaN/inf).
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("simulation times are finite")
-            .then(other.seq.cmp(&self.seq))
+        // lowest sequence number) pops first.
+        other.key.cmp(&self.key)
     }
 }
 impl<E> PartialOrd for Scheduled<E> {
@@ -99,7 +112,8 @@ impl<E> EventQueue<E> {
         self.depth_high_water
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Schedule `event` at absolute time `at`. An event scheduled at
+    /// `-0.0` pops as `+0.0`, the same instant.
     ///
     /// # Panics
     /// Panics if `at` is NaN/infinite or earlier than the current time
@@ -111,9 +125,11 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: {at} < now {}",
             self.now
         );
+        // `+ 0.0` turns `-0.0` into `+0.0` and leaves every other
+        // admitted time unchanged (see `Scheduled`).
+        let bits = (at + 0.0).to_bits();
         self.heap.push(Scheduled {
-            time: at,
-            seq: self.seq,
+            key: (u128::from(bits) << 64) | u128::from(self.seq),
             event,
         });
         self.seq += 1;
@@ -129,9 +145,9 @@ impl<E> EventQueue<E> {
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = self.heap.pop()?;
-        self.now = s.time;
+        self.now = s.time();
         self.processed += 1;
-        Some((s.time, s.event))
+        Some((self.now, s.event))
     }
 
     /// Run until the queue drains or the clock passes `until`, feeding
@@ -143,7 +159,7 @@ impl<E> EventQueue<E> {
         F: FnMut(&mut Self, SimTime, E),
     {
         while let Some(s) = self.heap.peek() {
-            if s.time > until {
+            if s.time() > until {
                 break;
             }
             let (t, e) = self.pop().expect("peeked event exists");

@@ -5,17 +5,19 @@
 //! accounting, same final clock.
 //!
 //! The schedules are adversarial: same-timestamp bursts,
-//! microsecond-vs-day time spans, interleaved schedule/pop, and handlers
+//! microsecond-vs-day time spans, interleaved schedule/pop, handlers
 //! that schedule offspring mid-`run_until` — the shape the packet engine
-//! produces (each departure schedules the next). A [`NetSim`] run is a
-//! pure function of its scenario only if this order is exact.
+//! produces (each departure schedules the next) — and timestamps at the
+//! edges of the queue's integer key (`-0.0`, subnormals, `>= 1e300` up
+//! to `f64::MAX`). A [`NetSim`] run is a pure function of its scenario
+//! only if this order is exact.
 //!
 //! [`NetSim`]: openspace_core::netsim::NetSim
 
 use openspace_sim::prelude::{EventQueue, SimRng};
 
 /// Reference model of [`EventQueue`]: a `Vec` kept sorted by
-/// `(time, seq)` and popped from the front.
+/// `(time, seq)` under `f64` comparison and popped from the front.
 #[derive(Default)]
 struct SortedVecQueue {
     pending: Vec<(f64, u64, u32)>,
@@ -27,6 +29,9 @@ struct SortedVecQueue {
 
 impl SortedVecQueue {
     fn schedule(&mut self, at: f64, payload: u32) {
+        // `-0.0` equals `0.0`, so it sorts by seq among zeros; the queue
+        // documents that it pops as `+0.0`.
+        let at = at + 0.0;
         let seq = self.seq;
         let pos = self
             .pending
@@ -89,11 +94,10 @@ fn assert_matches_oracle(
 }
 
 /// Drive a seeded mix of schedule bursts and pops against the heap and
-/// the oracle in lock step, then drain both. The op stream depends only
-/// on the seed and on the heap's clock, so a divergence surfaces as a
-/// sequence mismatch.
-fn assert_schedule_matches(seed: u64, spans: &[f64], ctx: &str) {
-    let mut rng = SimRng::substream(0xE9E9, seed);
+/// the oracle in lock step, then drain both; each burst lands at
+/// `time(rng, now)`. The op stream depends only on the seed and on the
+/// heap's clock, so a divergence surfaces as a sequence mismatch.
+fn assert_bursts_match(rng: &mut SimRng, mut time: impl FnMut(&mut SimRng, f64) -> f64, ctx: &str) {
     let mut q = EventQueue::new();
     let mut oracle = SortedVecQueue::default();
     let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -102,7 +106,7 @@ fn assert_schedule_matches(seed: u64, spans: &[f64], ctx: &str) {
         if rng.uniform() < 0.55 {
             // A burst of 1-4 events; every event in the burst lands on
             // the *same* timestamp, so ties must break by schedule order.
-            let at = q.now() + spans[rng.index(spans.len())] * rng.uniform();
+            let at = time(rng, q.now());
             for _ in 0..1 + rng.index(4) {
                 q.schedule(at, next_id);
                 oracle.schedule(at, next_id);
@@ -115,7 +119,15 @@ fn assert_schedule_matches(seed: u64, spans: &[f64], ctx: &str) {
     }
     got.extend(std::iter::from_fn(|| q.pop()).map(bits));
     want.extend(std::iter::from_fn(|| oracle.pop()).map(bits));
-    assert_matches_oracle(&q, &got, &oracle, &want, &format!("{ctx} seed {seed}"));
+    assert_matches_oracle(&q, &got, &oracle, &want, ctx);
+}
+
+/// [`assert_bursts_match`] with each burst up to a random span of
+/// `spans` after the clock.
+fn assert_schedule_matches(seed: u64, spans: &[f64], ctx: &str) {
+    let mut rng = SimRng::substream(0xE9E9, seed);
+    let time = |rng: &mut SimRng, now: f64| now + spans[rng.index(spans.len())] * rng.uniform();
+    assert_bursts_match(&mut rng, time, &format!("{ctx} seed {seed}"));
 }
 
 #[test]
@@ -133,6 +145,55 @@ fn adversarial_schedules_pop_identically() {
     for seed in 0..10 {
         assert_schedule_matches(seed, &[0.0, 1.0], "two-timestamp");
     }
+}
+
+/// A timestamp at an edge of the bit-pattern order, at or after `now`:
+/// signed zero, subnormals, the smallest normal, the clock itself and
+/// the next double above it, and values from 1e300 to `f64::MAX` (where
+/// adding a span rounds back to the same time).
+fn extreme_time(rng: &mut SimRng, now: f64) -> f64 {
+    let candidates = [
+        -0.0,
+        0.0,
+        f64::from_bits(1 + rng.below(1 << 20)), // subnormal
+        f64::from_bits(1 << 51),                // subnormal, top mantissa bit
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE * (1.0 + rng.uniform()),
+        now,
+        now.next_up(),
+        now + 1e-6,
+        1.0 + rng.uniform(),
+        1e300,
+        1e300 * (1.0 + 1e8 * rng.uniform()),
+        now + 1.0,
+        f64::MAX,
+    ];
+    loop {
+        let at = candidates[rng.index(candidates.len())];
+        if at >= now && at.is_finite() {
+            return at;
+        }
+    }
+}
+
+#[test]
+fn extreme_timestamps_pop_identically() {
+    for seed in 0..64 {
+        let mut rng = SimRng::substream(0xE9EB, seed);
+        assert_bursts_match(&mut rng, extreme_time, &format!("extremes seed {seed}"));
+    }
+    // Signed zeros alone: `-0.0` and `0.0` are one instant, so a mixed
+    // burst pops in schedule order, every time as `+0.0`.
+    let mut q = EventQueue::new();
+    for (i, at) in [0.0, -0.0, -0.0, 0.0, -0.0].into_iter().enumerate() {
+        q.schedule(at, i as u32);
+    }
+    let popped: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop()).map(bits).collect();
+    let zero = 0.0f64.to_bits();
+    assert_eq!(
+        popped,
+        vec![(zero, 0), (zero, 1), (zero, 2), (zero, 3), (zero, 4)]
+    );
 }
 
 /// Children of the `n`-th popped event: one a microsecond-scale step
