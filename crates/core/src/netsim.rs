@@ -58,7 +58,7 @@ pub enum TrafficKind {
     /// Exponential on/off bursts: during an ON period packets leave
     /// back-to-back at `rate_bps` (the *peak* rate); OFF periods are
     /// silent. The first packet of every ON period goes out the
-    /// instant the period opens, matching `sim::traffic::OnOffSource`.
+    /// instant the period opens.
     OnOff {
         /// Mean ON-period duration (s).
         mean_on_s: f64,
@@ -472,8 +472,6 @@ struct LinkTable {
     pairs: Vec<(NodeId, NodeId)>,
     /// Append-only pair index; values are stable for the whole run.
     index: HashMap<(NodeId, NodeId), LinkId>,
-    /// Number of alive slots — the old `links.len()`.
-    alive_count: usize,
 }
 
 impl LinkTable {
@@ -482,7 +480,6 @@ impl LinkTable {
             slots: Vec::new(),
             pairs: Vec::new(),
             index: HashMap::new(),
-            alive_count: 0,
         }
     }
 
@@ -540,9 +537,6 @@ impl LinkTable {
         slab: &mut PktSlab,
     ) {
         let id = self.id_for(pair);
-        if !self.slots[id.0 as usize].alive {
-            self.alive_count += 1;
-        }
         let link = &mut self.slots[id.0 as usize];
         for pid in link.queue.drain(..) {
             slab.free.push(pid.0);
@@ -573,7 +567,6 @@ impl LinkTable {
         link.occupancy_bytes = 0;
         link.busy = false;
         link.alive = false;
-        self.alive_count -= 1;
         Some(queued)
     }
 
@@ -862,6 +855,11 @@ fn validate(
         }
     }
     for ev in events {
+        if !ev.at_s.is_finite() {
+            return Err(ConfigError::NotFinite {
+                field: "fault_event.at_s",
+            });
+        }
         let check = |node: NodeId| -> Result<(), ConfigError> {
             if node.0 >= n {
                 return Err(ConfigError::IndexOutOfRange {
@@ -1079,8 +1077,7 @@ fn run_netsim_core(
                     // Next slot one peak-interval on; if that falls past
                     // the ON horizon, jump OFF gaps until a slot lands
                     // inside an ON period — the first packet of each ON
-                    // period goes out the instant the period opens
-                    // (mirroring `sim::traffic::OnOffSource`).
+                    // period goes out the instant the period opens.
                     let mut at = now + mean_gap;
                     while at > on_until[i] {
                         let off = rngs[i].exponential(1.0 / mean_off_s);
@@ -1246,17 +1243,12 @@ fn run_netsim_core(
                 return; // resnapshot only ticks in dynamic mode
             };
             let adaptive = replan_interval.is_some();
+            // Every dynamic source refreshes `work_graph`, then the link
+            // table follows it through the one pair-carrying sync.
             match source {
                 TopologySource::Static(_) => return, // unscheduled; unreachable
                 TopologySource::Provider { provider, .. } => {
-                    // Full rebuild: fresh snapshot, link state carried
-                    // over by pair.
                     work_graph = provider.topology_at(now);
-                    let (kept, churned, lost) = table.rebuild_sync(&work_graph, now, &mut slab);
-                    dropped += lost;
-                    rec.add("netsim.resnapshot.links_kept", kept);
-                    rec.add("netsim.resnapshot.links_churned", churned);
-                    rec.add("netsim.resnapshot.packets_dropped", lost);
                     // Recompute every route on the new topology.
                     planner.invalidate();
                 }
@@ -1272,66 +1264,26 @@ fn run_netsim_core(
                         .apply_delta(delta)
                         .expect("consecutive timeline deltas always chain");
                     rec.add("netsim.timeline.deltas_applied", 1);
-                    if events.is_empty() {
-                        // No fault surgery has touched the link table,
-                        // so its alive pairs mirror the previous
-                        // snapshot's edges exactly and the delta's edge
-                        // views are a complete description of the churn:
-                        // patch the table in place instead of rebuilding.
-                        let removed = delta.edges_removed();
-                        let added = delta.edges_added();
-                        let kept = (table.alive_count - removed.len()) as u64;
-                        let mut lost = 0u64;
-                        for &(u, v) in &removed {
-                            if let Some(queued) = table.kill((u, v), &mut slab) {
-                                lost += queued;
-                            }
-                        }
-                        dropped += lost;
-                        for (u, e) in &added {
-                            table.revive((*u, e.to), e.capacity_bps, e.latency_s, now, &mut slab);
-                        }
-                        for (u, e) in delta.edges_changed() {
-                            if let Some(&id) = table.index.get(&(u, e.to)) {
-                                let link = table.link_mut(id);
-                                if link.alive {
-                                    link.capacity_bps = e.capacity_bps;
-                                    link.latency_s = e.latency_s;
-                                }
-                            }
-                        }
-                        rec.add("netsim.resnapshot.links_kept", kept);
-                        rec.add(
-                            "netsim.resnapshot.links_churned",
-                            (removed.len() + added.len()) as u64,
-                        );
-                        rec.add("netsim.resnapshot.packets_dropped", lost);
-                        work_graph = mirror.clone();
-                        if adaptive {
-                            // Loads were reset by the fresh work graph
-                            // and cached trees were grown under the old
-                            // loads: nothing can be kept.
-                            planner.invalidate();
-                        } else if !delta.is_empty() {
-                            planner.retain_for_changed_rows(&delta.changed_nodes(), rec);
-                        }
-                        // Empty delta in proactive mode: the graph is
-                        // bit-identical, every cached tree stays valid.
-                    } else {
-                        // Fault surgery may have removed links the
-                        // fresh snapshot resurrects; fall back to the
-                        // full pair-carrying rebuild (still skipping the
-                        // from-orbital-state snapshot build).
-                        work_graph = mirror.clone();
-                        let (kept, churned, lost) = table.rebuild_sync(&work_graph, now, &mut slab);
-                        dropped += lost;
-                        rec.add("netsim.resnapshot.links_kept", kept);
-                        rec.add("netsim.resnapshot.links_churned", churned);
-                        rec.add("netsim.resnapshot.packets_dropped", lost);
+                    work_graph = mirror.clone();
+                    if adaptive || !events.is_empty() {
+                        // Loads were reset by the fresh work graph, or
+                        // fault surgery may have removed links the
+                        // mirror resurrects: no cached tree can be kept.
                         planner.invalidate();
+                    } else if !delta.is_empty() {
+                        planner.retain_for_changed_rows(&delta.changed_nodes(), rec);
                     }
+                    // Empty delta in proactive fault-free mode: the graph
+                    // is bit-identical, every cached tree stays valid.
                 }
             }
+            // Links present in both snapshots keep queue and EWMA; packets
+            // queued on a vanished link are dropped.
+            let (kept, churned, lost) = table.rebuild_sync(&work_graph, now, &mut slab);
+            dropped += lost;
+            rec.add("netsim.resnapshot.links_kept", kept);
+            rec.add("netsim.resnapshot.links_churned", churned);
+            rec.add("netsim.resnapshot.packets_dropped", lost);
             routes = plan_flow_routes(
                 &mut planner,
                 &work_graph,
@@ -2428,6 +2380,27 @@ mod tests {
             .run(&[flow(0, 3, 1e5)])
             .unwrap_err();
         assert!(matches!(err, ConfigError::IndexOutOfRange { .. }));
+        // NaN fails the `at_s < duration_s` scheduling test and would be
+        // dropped without a word; every non-finite time is rejected.
+        for at_s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let events = [TopologyEvent {
+                at_s,
+                seq: 0,
+                kind: TopologyEventKind::NodeDown(NodeId(1)),
+            }];
+            let err = NetSim::new(NetSimConfig::default())
+                .with_snapshot(&g)
+                .with_faults(&events)
+                .run(&[flow(0, 3, 1e5)])
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::NotFinite {
+                    field: "fault_event.at_s"
+                },
+                "at_s = {at_s}"
+            );
+        }
     }
 
     #[test]

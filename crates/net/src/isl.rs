@@ -60,7 +60,7 @@
 //! graph equality (including edge bit patterns) between the gated and
 //! dense builders over ≥128 seeded random scenarios.
 
-use crate::topology::{Graph, GraphDelta, LinkTech, TopologyError};
+use crate::topology::{Graph, LinkTech};
 use openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S;
 use openspace_orbit::ephemeris::EphemerisSample;
 use openspace_orbit::frames::{ecef_to_eci, eci_to_ecef, Vec3};
@@ -425,39 +425,6 @@ pub fn build_snapshot_from_samples_recorded(
     g
 }
 
-/// Build the snapshot at `t_s` and express it as a [`GraphDelta`]
-/// against `prev` (the snapshot at some earlier instant of the same
-/// constellation). Applying the result to `prev` yields a graph
-/// bit-identical to [`build_snapshot`]`(t_s, ..)` — the delta is
-/// extracted *from* a fresh build, so there is no separate incremental
-/// code path that could drift from the reference builder.
-///
-/// Fails with [`TopologyError::ShapeMismatch`] when `prev` has a
-/// different node roster than `sats`/`stations` describe.
-pub fn snapshot_delta(
-    t_s: f64,
-    prev: &Graph,
-    sats: &[SatNode],
-    stations: &[GroundNode],
-    params: &SnapshotParams,
-) -> Result<GraphDelta, TopologyError> {
-    snapshot_delta_recorded(t_s, prev, sats, stations, params, &mut NullRecorder)
-}
-
-/// [`snapshot_delta`] with telemetry — the underlying snapshot build
-/// reports its `snapshot.*` gating counters through `rec`.
-pub fn snapshot_delta_recorded(
-    t_s: f64,
-    prev: &Graph,
-    sats: &[SatNode],
-    stations: &[GroundNode],
-    params: &SnapshotParams,
-    rec: &mut dyn Recorder,
-) -> Result<GraphDelta, TopologyError> {
-    let next = build_snapshot_recorded(t_s, sats, stations, params, rec);
-    GraphDelta::between(prev, &next)
-}
-
 /// The satellite (index into `sats`) nearest to a ground ECEF point that
 /// is visible above `min_elevation_rad` at `t_s`, with its slant range.
 pub fn best_access_satellite(
@@ -599,6 +566,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{GraphDelta, TopologyError};
 
     use openspace_orbit::frames::{geodetic_to_ecef, Geodetic};
     use openspace_orbit::propagator::PerturbationModel;
@@ -811,14 +779,15 @@ mod tests {
         let st = [station(0.0, 0.0)];
         let params = SnapshotParams::default();
         let g0 = build_snapshot(0.0, &sats, &st, &params);
-        let d = snapshot_delta(120.0, &g0, &sats, &st, &params).unwrap();
+        let g1 = build_snapshot(120.0, &sats, &st, &params);
+        let d = GraphDelta::between(&g0, &g1).unwrap();
         assert!(!d.is_empty(), "Iridium contacts churn over two minutes");
         let mut patched = g0.clone();
         patched.apply_delta(&d).unwrap();
-        assert_eq!(patched, build_snapshot(120.0, &sats, &st, &params));
+        assert_eq!(patched, g1);
         // Roster disagreement is an error, not a bad patch.
         assert!(matches!(
-            snapshot_delta(120.0, &g0, &sats, &[], &params),
+            GraphDelta::between(&g0, &build_snapshot(120.0, &sats, &[], &params)),
             Err(TopologyError::ShapeMismatch { .. })
         ));
     }

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::isl::{
         best_access_from_ecef, best_access_satellite, build_snapshot, build_snapshot_from_samples,
         build_snapshot_from_samples_recorded, build_snapshot_recorded, isl_capacity_bps,
-        snapshot_delta, snapshot_delta_recorded, GroundNode, SatNode, SnapshotParams,
+        GroundNode, SatNode, SnapshotParams,
     };
     pub use crate::outage::{OutageTracker, TopologyDelta};
     pub use crate::policy::{

@@ -237,10 +237,8 @@ struct RowChange {
 /// differ by a handful of contacts. A delta stores exactly the
 /// adjacency rows that changed (with their before *and* after states,
 /// so application is checked, composition is associative, and inversion
-/// is free) and derives the edge-level story
-/// ([`edges_added`](Self::edges_added) /
-/// [`edges_removed`](Self::edges_removed) /
-/// [`edges_changed`](Self::edges_changed)) on demand.
+/// is free) and names the nodes whose rows changed
+/// ([`changed_nodes`](Self::changed_nodes)).
 ///
 /// **Bitwise contract:** for snapshots `a`, `b` with equal rosters,
 /// `a.apply_delta(&GraphDelta::between(&a, &b)?)` leaves `a`
@@ -304,54 +302,6 @@ impl GraphDelta {
     /// these nodes' out-edges differ between the two snapshots).
     pub fn changed_nodes(&self) -> Vec<NodeId> {
         self.rows.iter().map(|r| r.node).collect()
-    }
-
-    /// Directed edges present after but not before, with their edge
-    /// data, as `(from, edge)` pairs in ascending `(from, to)` order.
-    pub fn edges_added(&self) -> Vec<(NodeId, Edge)> {
-        let mut out = Vec::new();
-        for r in &self.rows {
-            for e in &r.after {
-                if !r.before.iter().any(|b| b.to == e.to) {
-                    out.push((r.node, *e));
-                }
-            }
-        }
-        out.sort_by_key(|(u, e)| (*u, e.to));
-        out
-    }
-
-    /// Directed edges present before but not after, as `(from, to)`
-    /// pairs in ascending order.
-    pub fn edges_removed(&self) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        for r in &self.rows {
-            for e in &r.before {
-                if !r.after.iter().any(|a| a.to == e.to) {
-                    out.push((r.node, e.to));
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Directed edges present on both sides whose data (latency,
-    /// capacity, operator, …) changed bits, with their *new* edge data,
-    /// in ascending `(from, to)` order.
-    pub fn edges_changed(&self) -> Vec<(NodeId, Edge)> {
-        let mut out = Vec::new();
-        for r in &self.rows {
-            for e in &r.after {
-                if let Some(b) = r.before.iter().find(|b| b.to == e.to) {
-                    if !edge_bits_eq(b, e) {
-                        out.push((r.node, *e));
-                    }
-                }
-            }
-        }
-        out.sort_by_key(|(u, e)| (*u, e.to));
-        out
     }
 
     /// The inverse delta: applying `self` then `self.inverted()`
@@ -903,30 +853,12 @@ mod tests {
         let d = GraphDelta::between(&a, &b).unwrap();
         assert!(!d.is_empty());
         assert_eq!(d.row_count(), 3, "all three nodes' rows changed");
+        assert_eq!(d.changed_nodes(), vec![NodeId(0), NodeId(1), NodeId(2)]);
         let mut patched = a.clone();
         patched.apply_delta(&d).unwrap();
         assert_eq!(patched, b);
         patched.apply_delta(&d.inverted()).unwrap();
         assert_eq!(patched, a);
-    }
-
-    #[test]
-    fn delta_edge_views() {
-        let a = line_graph();
-        let b = shifted_graph();
-        let d = GraphDelta::between(&a, &b).unwrap();
-        assert_eq!(
-            d.edges_removed(),
-            vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))]
-        );
-        let added: Vec<_> = d.edges_added().iter().map(|(u, e)| (*u, e.to)).collect();
-        assert_eq!(added, vec![(NodeId(0), NodeId(2)), (NodeId(2), NodeId(0))]);
-        let changed: Vec<_> = d.edges_changed().iter().map(|(u, e)| (*u, e.to)).collect();
-        assert_eq!(
-            changed,
-            vec![(NodeId(1), NodeId(2)), (NodeId(2), NodeId(1))]
-        );
-        assert_eq!(d.changed_nodes(), vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]

@@ -7,12 +7,7 @@
 //!   stable tie-breaking (same inputs + same seed ⇒ bit-identical runs).
 //! * [`rng`] — seeded RNG with substreams and the distributions traffic
 //!   models need.
-//! * [`queue`] — drop-tail and two-class priority packet queues (the
-//!   ground-station "prioritize native traffic" policy of §2.2).
-//! * [`traffic`] — CBR / Poisson / on-off sources (§5's call for user
-//!   traffic modelling).
-//! * [`stats`] — summary statistics and time-weighted integrals for the
-//!   experiment reports.
+//! * [`stats`] — summary statistics for the experiment reports.
 //! * [`exec`] — deterministic parallel map over independent tasks with
 //!   per-task RNG substreams (parallel output ≡ serial output).
 //! * [`ids`] — typed entity identifiers (`NodeId`, `SatId`, `GsId`,
@@ -45,10 +40,8 @@ pub mod engine;
 pub mod exec;
 pub mod fault;
 pub mod ids;
-pub mod queue;
 pub mod rng;
 pub mod stats;
-pub mod traffic;
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -60,10 +53,6 @@ pub mod prelude {
         TopologyEvent, TopologyEventKind,
     };
     pub use crate::ids::{GsId, NodeId, OperatorId, SatId};
-    pub use crate::queue::{DropTailQueue, Packet, PriorityQueue, QueueStats};
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Summary, TimeWeighted};
-    pub use crate::traffic::{
-        arrivals_until, Arrival, CbrSource, OnOffSource, PoissonSource, TrafficSource,
-    };
+    pub use crate::stats::Summary;
 }

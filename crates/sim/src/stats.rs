@@ -2,8 +2,7 @@
 //!
 //! [`Summary`] accumulates scalar samples (Welford mean/variance plus a
 //! reservoir-free exact quantile store) and prints the rows the
-//! experiment harness reports. [`TimeWeighted`] integrates a step signal
-//! over time (queue occupancy, state-of-charge).
+//! experiment harness reports.
 
 /// Scalar sample accumulator with exact quantiles.
 ///
@@ -147,52 +146,6 @@ impl Summary {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeighted {
-    last_t: f64,
-    last_v: f64,
-    integral: f64,
-    start_t: f64,
-}
-
-impl TimeWeighted {
-    /// Start integrating at `t0` with initial value `v0`.
-    pub fn new(t0: f64, v0: f64) -> Self {
-        Self {
-            last_t: t0,
-            last_v: v0,
-            integral: 0.0,
-            start_t: t0,
-        }
-    }
-
-    /// Record that the signal changed to `v` at time `t`.
-    ///
-    /// # Panics
-    /// Panics if `t` moves backwards.
-    pub fn update(&mut self, t: f64, v: f64) {
-        assert!(
-            t >= self.last_t,
-            "time moved backwards: {t} < {}",
-            self.last_t
-        );
-        self.integral += self.last_v * (t - self.last_t);
-        self.last_t = t;
-        self.last_v = v;
-    }
-
-    /// Time-weighted mean over `[t0, t]`, closing the last segment at `t`.
-    pub fn mean_until(&self, t: f64) -> f64 {
-        assert!(t >= self.last_t, "horizon before last update");
-        let total = t - self.start_t;
-        if total <= 0.0 {
-            return self.last_v;
-        }
-        (self.integral + self.last_v * (t - self.last_t)) / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,29 +259,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn quantile_of_empty_panics() {
         Summary::new().quantile(0.5);
-    }
-
-    #[test]
-    fn time_weighted_step_signal() {
-        let mut tw = TimeWeighted::new(0.0, 0.0);
-        tw.update(5.0, 10.0); // 0 for 5 s
-        tw.update(10.0, 0.0); // 10 for 5 s
-                              // mean over [0,10] = (0*5 + 10*5)/10 = 5
-        assert!((tw.mean_until(10.0) - 5.0).abs() < 1e-12);
-        // extend: 0 for 10 more seconds → mean 2.5 over [0,20]
-        assert!((tw.mean_until(20.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_constant_signal() {
-        let tw = TimeWeighted::new(2.0, 7.0);
-        assert!((tw.mean_until(12.0) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn time_backwards_panics() {
-        let mut tw = TimeWeighted::new(5.0, 0.0);
-        tw.update(4.0, 1.0);
     }
 }

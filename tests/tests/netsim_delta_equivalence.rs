@@ -5,10 +5,12 @@
 //! floats to the last ulp, same counters — across routing modes and
 //! under fault injection.
 //!
-//! This is the acceptance property for the timeline subsystem: the
-//! incremental link patch, the selective planner invalidation and the
-//! pristine-mirror bookkeeping may only ever be an *optimization*,
-//! never a behavioral change (see DESIGN.md).
+//! This is the acceptance property for the timeline subsystem: delta
+//! replay into the pristine mirror and the selective planner
+//! invalidation may only ever be an *optimization*, never a behavioral
+//! change (see DESIGN.md). Both sides sync their link tables through the
+//! same pair-carrying rebuild, and the randomized suites compare its
+//! `netsim.resnapshot*` counters as well as the reports.
 
 use openspace_core::netsim::{
     FlowSpec, NetSim, NetSimConfig, NetSimReport, RoutingMode, TrafficKind,
@@ -18,6 +20,7 @@ use openspace_net::topology::LinkTech;
 use openspace_sim::fault::{FaultPlan, FaultTopology};
 use openspace_sim::ids::OperatorId;
 use openspace_sim::prelude::SimRng;
+use openspace_telemetry::MemoryRecorder;
 
 const CASES: u64 = 64;
 
@@ -123,6 +126,25 @@ fn assert_reports_bitwise(a: &NetSimReport, b: &NetSimReport, ctx: &str) {
     );
 }
 
+/// The resnapshot counters: how many resnapshots ran, and how each one's
+/// link-table sync kept, churned and emptied links.
+const RESNAPSHOT_COUNTERS: [&str; 4] = [
+    "netsim.resnapshots",
+    "netsim.resnapshot.links_kept",
+    "netsim.resnapshot.links_churned",
+    "netsim.resnapshot.packets_dropped",
+];
+
+fn assert_resnapshot_counters_equal(a: &MemoryRecorder, b: &MemoryRecorder, ctx: &str) {
+    assert!(
+        a.counter("netsim.resnapshots") > 0,
+        "{ctx}: no resnapshot ran"
+    );
+    for key in RESNAPSHOT_COUNTERS {
+        assert_eq!(a.counter(key), b.counter(key), "{ctx}: {key}");
+    }
+}
+
 #[test]
 fn delta_resnapshot_run_is_bitwise_identical_to_full_rebuild() {
     for case in 0..CASES {
@@ -145,17 +167,21 @@ fn delta_resnapshot_run_is_bitwise_identical_to_full_rebuild() {
             seed: case,
         };
         let provider = |t: f64| mesh.at(t);
+        let mut rebuilt_rec = MemoryRecorder::new();
         let rebuilt = NetSim::new(cfg)
             .with_provider(&provider, step)
-            .run(&flows)
+            .run_recorded(&flows, &mut rebuilt_rec)
             .expect("valid provider run");
         let tl = TopologyTimeline::build(&provider, 0.0, step, duration, 4)
             .expect("valid timeline build");
+        let mut replayed_rec = MemoryRecorder::new();
         let replayed = NetSim::new(cfg)
             .with_timeline(&tl)
-            .run(&flows)
+            .run_recorded(&flows, &mut replayed_rec)
             .expect("valid timeline run");
-        assert_reports_bitwise(&rebuilt, &replayed, &format!("case {case} ({routing:?})"));
+        let ctx = format!("case {case} ({routing:?})");
+        assert_reports_bitwise(&rebuilt, &replayed, &ctx);
+        assert_resnapshot_counters_equal(&rebuilt_rec, &replayed_rec, &ctx);
     }
 }
 
@@ -185,18 +211,22 @@ fn delta_resnapshot_run_with_faults_is_bitwise_identical_to_full_rebuild() {
             seed: case,
         };
         let provider = |t: f64| mesh.at(t);
+        let mut rebuilt_rec = MemoryRecorder::new();
         let rebuilt = NetSim::new(cfg)
             .with_provider(&provider, 1.0)
             .with_faults(&events)
-            .run(&flows)
+            .run_recorded(&flows, &mut rebuilt_rec)
             .expect("valid provider run");
         let tl = TopologyTimeline::build(&provider, 0.0, 1.0, duration, 2).expect("valid timeline");
+        let mut replayed_rec = MemoryRecorder::new();
         let replayed = NetSim::new(cfg)
             .with_timeline(&tl)
             .with_faults(&events)
-            .run(&flows)
+            .run_recorded(&flows, &mut replayed_rec)
             .expect("valid timeline run");
-        assert_reports_bitwise(&rebuilt, &replayed, &format!("faulted case {case}"));
+        let ctx = format!("faulted case {case}");
+        assert_reports_bitwise(&rebuilt, &replayed, &ctx);
+        assert_resnapshot_counters_equal(&rebuilt_rec, &replayed_rec, &ctx);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Randomized property tests of the simulation engine and queues: event
-//! ordering, conservation laws, and statistics invariants.
+//! Randomized property tests of the simulation engine: event ordering,
+//! RNG reproducibility and statistics invariants.
 //!
 //! Cases are drawn from a seeded [`SimRng`] stream (see
 //! `proptest_orbit.rs` for the scheme) — deterministic, dependency-free
@@ -52,114 +52,6 @@ fn equal_times_preserve_insertion_order() {
 }
 
 #[test]
-fn queue_conserves_packets() {
-    for_cases(0xB3, |rng| {
-        let n = 1 + rng.index(99);
-        let sizes: Vec<u32> = (0..n).map(|_| 1 + rng.below(4_999) as u32).collect();
-        let capacity = 5_000 + rng.below(45_000);
-        let drains = rng.index(50);
-        let mut q = DropTailQueue::new(capacity);
-        for (i, &s) in sizes.iter().enumerate() {
-            q.enqueue(Packet {
-                flow_id: i as u64,
-                size_bytes: s,
-                created_at_s: 0.0,
-                is_native: true,
-            });
-        }
-        for _ in 0..drains {
-            q.dequeue();
-        }
-        let st = q.stats();
-        // Conservation: everything offered is accounted for.
-        assert_eq!(st.enqueued + st.dropped, sizes.len() as u64);
-        assert_eq!(st.enqueued - st.dequeued, q.len() as u64);
-        // Occupancy never exceeds capacity.
-        assert!(q.occupancy_bytes() <= capacity);
-    });
-}
-
-#[test]
-fn priority_queue_never_serves_visitor_before_native() {
-    for_cases(0xB4, |rng| {
-        let native: Vec<u32> = (0..rng.index(30))
-            .map(|_| 1 + rng.below(499) as u32)
-            .collect();
-        let visitor: Vec<u32> = (0..rng.index(30))
-            .map(|_| 1 + rng.below(499) as u32)
-            .collect();
-        let mut q = PriorityQueue::new(1_000_000, 0.5);
-        for &s in &visitor {
-            q.enqueue(Packet {
-                flow_id: 0,
-                size_bytes: s,
-                created_at_s: 0.0,
-                is_native: false,
-            });
-        }
-        for &s in &native {
-            q.enqueue(Packet {
-                flow_id: 1,
-                size_bytes: s,
-                created_at_s: 0.0,
-                is_native: true,
-            });
-        }
-        let mut seen_visitor = false;
-        while let Some(p) = q.dequeue() {
-            if p.is_native {
-                assert!(!seen_visitor, "native packet after a visitor one");
-            } else {
-                seen_visitor = true;
-            }
-        }
-    });
-}
-
-#[test]
-fn priority_queue_split_never_exceeds_physical_capacity() {
-    // The class split must partition the buffer exactly: filling both
-    // classes with 1-byte packets until drop can never admit more bytes
-    // than the physical capacity, whatever the share. (The old rounding
-    // gave each class an independent 1-byte floor, so tiny buffers and
-    // extreme shares could oversubscribe.)
-    for_cases(0xB6, |rng| {
-        let capacity = 2 + rng.below(9_998);
-        let share = rng.uniform_range(0.01, 0.99);
-        let mut q = PriorityQueue::new(capacity, share);
-        let mut admitted = 0u64;
-        loop {
-            let before = admitted;
-            if q.enqueue(Packet {
-                flow_id: 0,
-                size_bytes: 1,
-                created_at_s: 0.0,
-                is_native: true,
-            }) {
-                admitted += 1;
-            }
-            if q.enqueue(Packet {
-                flow_id: 1,
-                size_bytes: 1,
-                created_at_s: 0.0,
-                is_native: false,
-            }) {
-                admitted += 1;
-            }
-            if admitted == before {
-                break;
-            }
-        }
-        assert!(
-            admitted <= capacity,
-            "capacity {capacity} share {share}: admitted {admitted}"
-        );
-        // Both classes must still be usable: at least one byte each.
-        assert!(admitted >= 2);
-    });
-}
-
-#[test]
 fn summary_quantiles_are_monotone_and_bounded() {
     for_cases(0xB5, |rng| {
         let n = 2 + rng.index(498);
@@ -188,39 +80,6 @@ fn rng_streams_are_reproducible() {
         let mut b = SimRng::substream(seed, stream);
         for _ in 0..32 {
             assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
-        }
-    });
-}
-
-#[test]
-fn cbr_arrivals_are_exactly_periodic() {
-    for_cases(0xB7, |rng| {
-        let rate = rng.uniform_range(1_000.0, 1e7);
-        let bytes = 64 + rng.below(8_936) as u32;
-        let mut src = CbrSource::new(rate, bytes, 0.0);
-        let period = bytes as f64 * 8.0 / rate;
-        let mut last: Option<f64> = None;
-        for _ in 0..50 {
-            let a = src.next_arrival().unwrap();
-            if let Some(prev) = last {
-                assert!((a.at_s - prev - period).abs() < 1e-9);
-            }
-            last = Some(a.at_s);
-        }
-    });
-}
-
-#[test]
-fn poisson_arrivals_are_strictly_increasing() {
-    for_cases(0xB8, |rng| {
-        let seed = rng.next_u64();
-        let rate = rng.uniform_range(1_000.0, 1e6);
-        let mut src = PoissonSource::new(rate, 1_000, 0.0, seed);
-        let mut last = 0.0;
-        for _ in 0..100 {
-            let a = src.next_arrival().unwrap();
-            assert!(a.at_s >= last);
-            last = a.at_s;
         }
     });
 }

@@ -175,9 +175,9 @@ fn delta_between_jumps_match_step_by_step_replay() {
 
 #[test]
 fn isl_snapshot_delta_replays_real_constellation_motion() {
-    // The same property on a real Iridium-derived constellation via
-    // [`snapshot_delta`]: patching the t=0 snapshot forward reproduces
-    // every fresh build bitwise.
+    // The same property on a real Iridium-derived constellation:
+    // patching the t=0 snapshot forward, one minute at a time, by the
+    // delta to each fresh build reproduces that build bitwise.
     use openspace_orbit::propagator::{PerturbationModel, Propagator};
     use openspace_orbit::walker::{iridium_params, walker_star};
 
@@ -197,10 +197,11 @@ fn isl_snapshot_delta_replays_real_constellation_motion() {
     let mut g = build_snapshot(0.0, &sats, &stations, &params);
     for k in 1..=10 {
         let t = k as f64 * 60.0;
-        let delta = snapshot_delta(t, &g, &sats, &stations, &params).expect("roster matches");
+        let fresh = build_snapshot(t, &sats, &stations, &params);
+        let delta = GraphDelta::between(&g, &fresh).expect("roster matches");
         g.apply_delta(&delta).expect("delta applies");
         assert!(
-            graphs_bitwise_equal(&build_snapshot(t, &sats, &stations, &params), &g),
+            graphs_bitwise_equal(&fresh, &g),
             "patched snapshot diverged from fresh build at t={t}"
         );
     }
