@@ -590,6 +590,44 @@ fn bench_demand() {
         hour += 1;
         black_box(model.flows_at(t));
     });
+
+    // E21's settlement input: the 1.2M-user day's 24 hourly ticks on
+    // the 4-member federation, billed into per-operator ledgers, then
+    // the origin-vs-carrier cross-check over all 12 ordered pairs.
+    use openspace_bench::scenario::standard_federation;
+    use openspace_core::demand::demand_ledgers;
+    use openspace_phy::hardware::SatelliteClass;
+    let grid = PopulationGrid::build(&PopulationConfig {
+        lat_cells: 36,
+        lon_cells: 72,
+        total_users: 1_200_000,
+        cities: 160,
+        seed: 13,
+        ..Default::default()
+    })
+    .expect("valid population config");
+    let fed = standard_federation(4, &[SatelliteClass::SmallSat]);
+    let coverage = fed.attach_demand_cells(&grid, 0.0);
+    let model = DemandModel::new(grid, AppMix::broadband(), DemandConfig::default())
+        .expect("valid demand config");
+    let mut ticks = model
+        .demand_timeline(3_600.0, 86_400.0, 1)
+        .expect("valid timeline bounds");
+    ticks.truncate(24);
+    let ops = fed.operator_ids();
+    bench("demand_ledgers_e21", window(), || {
+        let (ledgers, intra_bytes) = demand_ledgers(&coverage, &ticks, 3_600.0);
+        let mut cross_bytes = 0u64;
+        for &a in &ops {
+            for &b in &ops {
+                if a != b {
+                    cross_bytes += ledgers.get(&a).map_or(0, |l| l.bytes_carried(a, b));
+                    cross_bytes += ledgers.get(&b).map_or(0, |l| l.bytes_carried(a, b));
+                }
+            }
+        }
+        black_box((ledgers, intra_bytes, cross_bytes));
+    });
 }
 
 fn bench_study() {

@@ -224,50 +224,74 @@ fn ledger_flow_id(cell: usize, class: AppClass) -> u64 {
 /// same-operator traffic is recorded in the owner's ledger only and
 /// never settles. Returns one ledger per operator appearing on either
 /// side, plus the intra-operator byte total.
+///
+/// Each ledger is built in bulk ([`TrafficLedger::from_items`]) from
+/// rows sized by a counting pass, so no row buffer ever grows.
 pub fn demand_ledgers(
     coverage: &CellCoverage,
     ticks: &[DemandTick],
     step_s: f64,
 ) -> (BTreeMap<OperatorId, TrafficLedger>, u64) {
-    let mut ledgers: BTreeMap<OperatorId, TrafficLedger> = BTreeMap::new();
-    let mut intra_bytes = 0u64;
-    for tick in ticks {
-        let interval_ms = (tick.t_s * 1000.0) as u64;
-        for f in &tick.flows {
-            let Some(att) = coverage.attachment_for(f.cell) else {
-                continue;
-            };
-            let bytes = (f.offered_bps * step_s / 8.0) as u64;
-            if bytes == 0 {
-                continue;
-            }
-            let key = BillingKey::new(
-                ledger_flow_id(f.cell, f.class),
-                att.operator,
-                att.gateway_operator,
-                interval_ms,
-            );
-            if att.operator == att.gateway_operator {
-                intra_bytes += bytes;
-                ledgers
-                    .entry(att.operator)
-                    .or_default()
-                    .record_raw(key, bytes);
-            } else {
-                // Origin logs from its route knowledge, carrier from its
-                // gateway counters: identical here by construction,
-                // which is exactly what reconciliation should find.
-                ledgers
-                    .entry(att.operator)
-                    .or_default()
-                    .record_raw(key, bytes);
-                ledgers
-                    .entry(att.gateway_operator)
-                    .or_default()
-                    .record_raw(key, bytes);
-            }
+    // Attachment per cell index, for O(1) lookups in both passes.
+    let mut by_cell: Vec<Option<&CellAttachment>> =
+        vec![None; coverage.attachments.last().map_or(0, |a| a.cell + 1)];
+    for a in &coverage.attachments {
+        by_cell[a.cell] = Some(a);
+    }
+    let by_cell = &by_cell;
+    // Every billable item in tick order: its key (origin = home
+    // operator, carrier = gateway owner) and its bytes.
+    let items = || {
+        ticks.iter().flat_map(move |tick| {
+            let interval_ms = (tick.t_s * 1000.0) as u64;
+            tick.flows.iter().filter_map(move |f| {
+                let att = (*by_cell.get(f.cell)?)?;
+                let bytes = (f.offered_bps * step_s / 8.0) as u64;
+                (bytes > 0).then(|| {
+                    let key = BillingKey::new(
+                        ledger_flow_id(f.cell, f.class),
+                        att.operator,
+                        att.gateway_operator,
+                        interval_ms,
+                    );
+                    (key, bytes)
+                })
+            })
+        })
+    };
+    let mut counts: BTreeMap<OperatorId, usize> = BTreeMap::new();
+    for (key, _) in items() {
+        *counts.entry(key.origin).or_default() += 1;
+        if key.carrier != key.origin {
+            *counts.entry(key.carrier).or_default() += 1;
         }
     }
+    let mut rows: BTreeMap<OperatorId, Vec<(BillingKey, u64)>> = counts
+        .into_iter()
+        .map(|(op, n)| (op, Vec::with_capacity(n)))
+        .collect();
+    let mut push = |op: OperatorId, item: (BillingKey, u64)| {
+        rows.get_mut(&op)
+            .expect("the counting pass saw every operator")
+            .push(item);
+    };
+
+    let mut intra_bytes = 0u64;
+    for (key, bytes) in items() {
+        push(key.origin, (key, bytes));
+        if key.origin == key.carrier {
+            intra_bytes += bytes;
+        } else {
+            // Origin logs from its route knowledge, carrier from its
+            // gateway counters: identical here by construction,
+            // which is exactly what reconciliation should find.
+            push(key.carrier, (key, bytes));
+        }
+    }
+    let ledgers = rows
+        .into_iter()
+        .map(|(op, r)| (op, TrafficLedger::from_items(r)))
+        .collect();
     (ledgers, intra_bytes)
 }
 
@@ -468,6 +492,85 @@ mod tests {
         let m = SettlementMatrix::from_ledgers(&ledgers, &PriceBook::new(2.0));
         let net_sum: f64 = ids.iter().map(|&op| m.net_position(op)).sum();
         assert!(net_sum.abs() < 1e-6, "settlement must be zero-sum");
+    }
+
+    #[test]
+    fn demand_ledgers_match_the_reference_ledger() {
+        use openspace_economics::ledger::reference;
+        use openspace_economics::settlement::{PriceBook, SettlementMatrix};
+        let fed = test_federation(4);
+        let grid = small_grid();
+        let cov = fed.attach_demand_cells(&grid, 0.0);
+        let model = DemandModel::new(grid, AppMix::broadband(), DemandConfig::default()).unwrap();
+        let ticks = model.demand_timeline(3_600.0, 86_400.0 - 1.0, 1).unwrap();
+        let (ledgers, intra) = demand_ledgers(&cov, &ticks, 3_600.0);
+
+        // The oracle: one reference `record_raw` per item and side, in
+        // tick order.
+        let mut want: BTreeMap<OperatorId, reference::TrafficLedger> = BTreeMap::new();
+        let mut want_intra = 0u64;
+        for tick in &ticks {
+            let interval_ms = (tick.t_s * 1000.0) as u64;
+            for f in &tick.flows {
+                let Some(att) = cov.attachment_for(f.cell) else {
+                    continue;
+                };
+                let bytes = (f.offered_bps * 3_600.0 / 8.0) as u64;
+                if bytes == 0 {
+                    continue;
+                }
+                let key = BillingKey::new(
+                    ledger_flow_id(f.cell, f.class),
+                    att.operator,
+                    att.gateway_operator,
+                    interval_ms,
+                );
+                want.entry(att.operator).or_default().record_raw(key, bytes);
+                if att.operator == att.gateway_operator {
+                    want_intra += bytes;
+                } else {
+                    want.entry(att.gateway_operator)
+                        .or_default()
+                        .record_raw(key, bytes);
+                }
+            }
+        }
+        assert!(want_intra > 0, "expected intra-operator demand traffic");
+        assert_eq!(intra, want_intra);
+        assert_eq!(
+            ledgers.keys().collect::<Vec<_>>(),
+            want.keys().collect::<Vec<_>>()
+        );
+        for (op, l) in &ledgers {
+            let got: Vec<_> = l.iter().collect();
+            let exp: Vec<_> = want[op].iter().collect();
+            assert_eq!(got, exp, "items of {op:?}");
+            for origin in fed.operator_ids() {
+                for carrier in fed.operator_ids() {
+                    assert_eq!(
+                        l.bytes_carried(origin, carrier),
+                        want[op].bytes_carried(origin, carrier),
+                        "{op:?} bytes {origin:?}->{carrier:?}"
+                    );
+                }
+            }
+        }
+        // Not a power of two: at 2.0 every invoice line is a multiple of
+        // 2^-30 USD and every sum is exact in any order.
+        let prices = PriceBook::new(2.3);
+        let got = SettlementMatrix::from_ledgers(&ledgers, &prices);
+        let exp = reference::settle(&want, &prices);
+        assert!(
+            !exp.operators().is_empty(),
+            "expected cross-operator settlement"
+        );
+        for op in fed.operator_ids() {
+            assert_eq!(
+                got.net_position(op).to_bits(),
+                exp.net_position(op).to_bits(),
+                "net position of {op:?}"
+            );
+        }
     }
 
     #[test]

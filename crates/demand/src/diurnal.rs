@@ -108,11 +108,6 @@ impl DiurnalProfile {
         self.hourly[lo] * (1.0 - t) + self.hourly[hi] * t
     }
 
-    /// Mean activity over the 24 hourly samples.
-    pub fn mean_activity(&self) -> f64 {
-        self.hourly.iter().sum::<f64>() / 24.0
-    }
-
     /// Ratio of the largest to the smallest hourly activity (the
     /// profile's diurnal swing). Infinite if any hour is zero.
     pub fn peak_to_trough(&self) -> f64 {

@@ -91,7 +91,6 @@ pub struct PopulationGrid {
     lat_cells: usize,
     lon_cells: usize,
     users: Vec<u64>,
-    land: Vec<bool>,
     total_users: u64,
     seed: u64,
 }
@@ -244,7 +243,6 @@ impl PopulationGrid {
             lat_cells: cfg.lat_cells,
             lon_cells: cfg.lon_cells,
             users,
-            land,
             total_users: cfg.total_users,
             seed: cfg.seed,
         })
@@ -278,11 +276,6 @@ impl PopulationGrid {
     /// Sum of all cell user counts (exactly the configured total).
     pub fn total_users(&self) -> u64 {
         self.total_users
-    }
-
-    /// Whether cell `idx` is land under the synthetic mask.
-    pub fn is_land(&self, idx: usize) -> bool {
-        self.land[idx]
     }
 
     /// Number of cells with at least one user.

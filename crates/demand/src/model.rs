@@ -268,18 +268,6 @@ impl DemandModel {
         }
     }
 
-    /// [`Self::flows_at`] plus `demand.*` telemetry for the tick.
-    pub fn flows_at_recorded(&self, t_s: f64, rec: &mut dyn Recorder) -> DemandTick {
-        let tick = self.flows_at(t_s);
-        if rec.enabled() {
-            rec.add("demand.flows_emitted", tick.flows.len() as u64);
-            rec.add("demand.flows_folded", tick.flows_folded);
-            rec.gauge_max("demand.offered_bps_peak", tick.offered_bps);
-            rec.gauge_max("demand.active_cells_peak", tick.active_cells as f64);
-        }
-        tick
-    }
-
     /// Demand snapshots at `0, step, 2·step, …` up to and including
     /// `horizon` (times accumulate iteratively, mirroring
     /// `net::timeline`), built on `threads` workers through

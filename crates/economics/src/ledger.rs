@@ -10,10 +10,24 @@
 //! "full knowledge and control of the topology of routes"). Reconciling
 //! the ledgers of two operators flags every flow-interval on which their
 //! byte counts disagree.
+//!
+//! Layout: a ledger is a `Vec` of `(BillingKey, bytes)` items sorted by
+//! key, each key once, plus a small sorted table of byte totals per
+//! `(origin, carrier)` pair. [`TrafficLedger::from_items`] builds one in
+//! bulk with one stable sort and an in-place coalesce of equal keys;
+//! [`TrafficLedger::bytes_carried`] reads the pair table instead of
+//! scanning the items, [`reconcile`] is one merge of two sorted ledgers,
+//! and iteration is in key order, so settlement adds every invoice's
+//! floats in the same order however the ledger was built.
+//! [`TrafficLedger::record`] and [`TrafficLedger::record_raw`] stay for
+//! incremental callers: a binary search, then an accumulate in place or
+//! an insert that shifts the items after it, O(n) per new key. Bulk
+//! billing (a day of demand ticks) should use `from_items`.
+//! [`reference`](mod@reference) keeps the `BTreeMap` ledger as the test
+//! oracle.
 
 use openspace_protocol::accounting::AccountingRecord;
 use openspace_protocol::types::OperatorId;
-use std::collections::BTreeMap;
 
 /// Key identifying one billable item: a flow carried by one operator in
 /// one reporting interval.
@@ -61,7 +75,10 @@ impl BillingKey {
 /// One operator's view of who carried what.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficLedger {
-    entries: BTreeMap<BillingKey, u64>,
+    /// Billable items, ascending by key, each key once.
+    entries: Vec<(BillingKey, u64)>,
+    /// Byte totals per `(origin, carrier)`, ascending by pair.
+    pair_bytes: Vec<((OperatorId, OperatorId), u64)>,
 }
 
 impl TrafficLedger {
@@ -70,25 +87,57 @@ impl TrafficLedger {
         Self::default()
     }
 
+    /// A ledger holding `items`, built in bulk: the same ledger as
+    /// [`record_raw`](Self::record_raw) of each item in turn, at the
+    /// cost of one sort. Items that share a key are summed in place.
+    pub fn from_items(mut items: Vec<(BillingKey, u64)>) -> Self {
+        // Stable sort: it merges the ascending runs callers usually
+        // hand in (one per demand tick) instead of re-sorting them.
+        items.sort_by_key(|&(key, _)| key);
+        items.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        let mut ledger = Self::default();
+        for &(key, bytes) in &items {
+            ledger.add_pair_bytes(key, bytes);
+        }
+        ledger.entries = items;
+        ledger
+    }
+
     /// Record (or accumulate) a record's byte count.
     pub fn record(&mut self, rec: &AccountingRecord) {
-        *self.entries.entry(BillingKey::of(rec)).or_insert(0) += rec.bytes_carried;
+        self.record_raw(BillingKey::of(rec), rec.bytes_carried);
     }
 
     /// Record raw fields without a signed record (the origin side logs
     /// from its own route knowledge).
     pub fn record_raw(&mut self, key: BillingKey, bytes: u64) {
-        *self.entries.entry(key).or_insert(0) += bytes;
+        match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.entries[i].1 += bytes,
+            Err(i) => self.entries.insert(i, (key, bytes)),
+        }
+        self.add_pair_bytes(key, bytes);
+    }
+
+    fn add_pair_bytes(&mut self, key: BillingKey, bytes: u64) {
+        let pair = (key.origin, key.carrier);
+        match self.pair_bytes.binary_search_by_key(&pair, |&(p, _)| p) {
+            Ok(i) => self.pair_bytes[i].1 += bytes,
+            Err(i) => self.pair_bytes.insert(i, (pair, bytes)),
+        }
     }
 
     /// Total bytes this ledger attributes to `carrier` carrying traffic
     /// that originated at `origin`.
     pub fn bytes_carried(&self, origin: OperatorId, carrier: OperatorId) -> u64 {
-        self.entries
-            .iter()
-            .filter(|(k, _)| k.origin == origin && k.carrier == carrier)
-            .map(|(_, &v)| v)
-            .sum()
+        self.pair_bytes
+            .binary_search_by_key(&(origin, carrier), |&(p, _)| p)
+            .map_or(0, |i| self.pair_bytes[i].1)
     }
 
     /// Number of billable items.
@@ -103,7 +152,7 @@ impl TrafficLedger {
 
     /// Iterate entries in key order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = (&BillingKey, &u64)> {
-        self.entries.iter()
+        self.entries.iter().map(|(key, bytes)| (key, bytes))
     }
 
     /// Dump this ledger's aggregates into a telemetry recorder:
@@ -111,7 +160,10 @@ impl TrafficLedger {
     /// across all items) counters.
     pub fn metrics_into(&self, rec: &mut dyn openspace_telemetry::Recorder) {
         rec.add("ledger.records", self.entries.len() as u64);
-        rec.add("ledger.bytes", self.entries.values().sum());
+        rec.add(
+            "ledger.bytes",
+            self.pair_bytes.iter().map(|&(_, b)| b).sum(),
+        );
     }
 }
 
@@ -147,41 +199,180 @@ impl Reconciliation {
 /// Cross-verify two ledgers over the billing items involving the pair
 /// `(origin, carrier)` in either direction. Items involving third parties
 /// are ignored — each bilateral relationship reconciles independently.
+///
+/// One merge of the two key-sorted ledgers: disputes come out in key
+/// order.
 pub fn reconcile(
     a: &TrafficLedger,
     b: &TrafficLedger,
     op_a: OperatorId,
     op_b: OperatorId,
 ) -> Reconciliation {
-    let relevant = |k: &BillingKey| {
+    let relevant = |&&(k, _): &&(BillingKey, u64)| {
         (k.origin == op_a && k.carrier == op_b) || (k.origin == op_b && k.carrier == op_a)
     };
-    let mut keys: Vec<BillingKey> = a
-        .entries
-        .keys()
-        .chain(b.entries.keys())
-        .filter(|k| relevant(k))
-        .copied()
-        .collect();
-    keys.sort_unstable();
-    keys.dedup();
+    let mut ia = a.entries.iter().filter(relevant).peekable();
+    let mut ib = b.entries.iter().filter(relevant).peekable();
 
     let mut out = Reconciliation::default();
-    for k in keys {
-        let va = a.entries.get(&k).copied().unwrap_or(0);
-        let vb = b.entries.get(&k).copied().unwrap_or(0);
+    loop {
+        let (key, va, vb) = match (ia.peek(), ib.peek()) {
+            (None, None) => break,
+            (Some(&&(ka, va)), Some(&&(kb, vb))) if ka == kb => {
+                ia.next();
+                ib.next();
+                (ka, va, vb)
+            }
+            (Some(&&(ka, va)), Some(&&(kb, _))) if ka < kb => {
+                ia.next();
+                (ka, va, 0)
+            }
+            (Some(&&(ka, va)), None) => {
+                ia.next();
+                (ka, va, 0)
+            }
+            (_, Some(&&(kb, vb))) => {
+                ib.next();
+                (kb, 0, vb)
+            }
+        };
         if va == vb {
             out.agreed += 1;
             out.agreed_bytes += va;
         } else {
             out.disputes.push(Dispute {
-                key: k,
+                key,
                 bytes_a: va,
                 bytes_b: vb,
             });
         }
     }
     out
+}
+
+/// Test oracle for [`TrafficLedger`], [`reconcile`] and settlement,
+/// not a production path: the `BTreeMap` ledger the sorted one must
+/// match item for item and bit for bit. The ledger equivalence property
+/// suite and `core::demand`'s tests call it.
+pub mod reference {
+    use super::{AccountingRecord, BillingKey, Dispute, OperatorId, Reconciliation};
+    use crate::settlement::{PriceBook, SettlementMatrix, GIB};
+    use std::collections::BTreeMap;
+
+    /// One operator's view of who carried what.
+    #[derive(Debug, Clone, Default)]
+    pub struct TrafficLedger {
+        entries: BTreeMap<BillingKey, u64>,
+    }
+
+    impl TrafficLedger {
+        /// An empty ledger.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Record (or accumulate) a record's byte count.
+        pub fn record(&mut self, rec: &AccountingRecord) {
+            *self.entries.entry(BillingKey::of(rec)).or_insert(0) += rec.bytes_carried;
+        }
+
+        /// Record raw fields without a signed record (the origin side logs
+        /// from its own route knowledge).
+        pub fn record_raw(&mut self, key: BillingKey, bytes: u64) {
+            *self.entries.entry(key).or_insert(0) += bytes;
+        }
+
+        /// Total bytes this ledger attributes to `carrier` carrying traffic
+        /// that originated at `origin`.
+        pub fn bytes_carried(&self, origin: OperatorId, carrier: OperatorId) -> u64 {
+            self.entries
+                .iter()
+                .filter(|(k, _)| k.origin == origin && k.carrier == carrier)
+                .map(|(_, &v)| v)
+                .sum()
+        }
+
+        /// Number of billable items.
+        pub fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        /// Whether the ledger is empty.
+        pub fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+
+        /// Iterate entries in key order (deterministic).
+        pub fn iter(&self) -> impl Iterator<Item = (&BillingKey, &u64)> {
+            self.entries.iter()
+        }
+
+        /// Dump this ledger's aggregates into a telemetry recorder:
+        /// `ledger.records` (billable items) and `ledger.bytes` (total bytes
+        /// across all items) counters.
+        pub fn metrics_into(&self, rec: &mut dyn openspace_telemetry::Recorder) {
+            rec.add("ledger.records", self.entries.len() as u64);
+            rec.add("ledger.bytes", self.entries.values().sum());
+        }
+    }
+
+    /// Cross-verify two ledgers over the billing items involving the pair
+    /// `(origin, carrier)` in either direction. Items involving third parties
+    /// are ignored — each bilateral relationship reconciles independently.
+    pub fn reconcile(
+        a: &TrafficLedger,
+        b: &TrafficLedger,
+        op_a: OperatorId,
+        op_b: OperatorId,
+    ) -> Reconciliation {
+        let relevant = |k: &BillingKey| {
+            (k.origin == op_a && k.carrier == op_b) || (k.origin == op_b && k.carrier == op_a)
+        };
+        let mut keys: Vec<BillingKey> = a
+            .entries
+            .keys()
+            .chain(b.entries.keys())
+            .filter(|k| relevant(k))
+            .copied()
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+
+        let mut out = Reconciliation::default();
+        for k in keys {
+            let va = a.entries.get(&k).copied().unwrap_or(0);
+            let vb = b.entries.get(&k).copied().unwrap_or(0);
+            if va == vb {
+                out.agreed += 1;
+                out.agreed_bytes += va;
+            } else {
+                out.disputes.push(Dispute {
+                    key: k,
+                    bytes_a: va,
+                    bytes_b: vb,
+                });
+            }
+        }
+        out
+    }
+
+    /// [`SettlementMatrix::from_ledgers`] over reference ledgers: one
+    /// invoice-map update per billable item, in each carrier's key order.
+    pub fn settle(
+        ledgers: &BTreeMap<OperatorId, TrafficLedger>,
+        prices: &PriceBook,
+    ) -> SettlementMatrix {
+        let mut invoices: BTreeMap<(OperatorId, OperatorId), f64> = BTreeMap::new();
+        for (&carrier, ledger) in ledgers {
+            for (key, &bytes) in ledger.iter() {
+                if key.carrier == carrier && key.origin != carrier {
+                    let usd = bytes as f64 / GIB * prices.rate(carrier, key.origin);
+                    *invoices.entry((key.origin, carrier)).or_insert(0.0) += usd;
+                }
+            }
+        }
+        SettlementMatrix::from_invoices(invoices)
+    }
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ impl PriceBook {
     }
 }
 
-const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+pub(crate) const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
 /// Net settlement positions computed from a set of ledgers.
 #[derive(Debug, Clone, Default)]
@@ -74,20 +74,38 @@ impl SettlementMatrix {
         let mut settled = 0u64;
         let mut gross = 0.0f64;
         for (&carrier, ledger) in ledgers {
+            // This carrier's invoices, one `(payer, rate, usd)` line per
+            // payer, each summed in the ledger's key order.
+            let mut lines: Vec<(OperatorId, f64, f64)> = Vec::new();
             for (key, &bytes) in ledger.iter() {
                 // Bill only items where this ledger's owner is the carrier
                 // and someone else pays.
                 if key.carrier == carrier && key.origin != carrier {
-                    let usd = bytes as f64 / GIB * prices.rate(carrier, key.origin);
-                    *m.invoices.entry((key.origin, carrier)).or_insert(0.0) += usd;
+                    let i = match lines.binary_search_by_key(&key.origin, |l| l.0) {
+                        Ok(i) => i,
+                        Err(i) => {
+                            lines.insert(i, (key.origin, prices.rate(carrier, key.origin), 0.0));
+                            i
+                        }
+                    };
+                    let usd = bytes as f64 / GIB * lines[i].1;
+                    lines[i].2 += usd;
                     settled += 1;
                     gross += usd;
                 }
+            }
+            for (payer, _, usd) in lines {
+                m.invoices.insert((payer, carrier), usd);
             }
         }
         rec.add("settlement.records_settled", settled);
         rec.gauge("settlement.gross_usd", gross);
         m
+    }
+
+    /// A matrix holding exactly `invoices` (`(payer, payee) → USD`).
+    pub(crate) fn from_invoices(invoices: BTreeMap<(OperatorId, OperatorId), f64>) -> Self {
+        Self { invoices }
     }
 
     /// Gross amount `payer` owes `payee`.

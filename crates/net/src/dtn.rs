@@ -72,11 +72,6 @@ impl Contact {
     pub fn duration_s(&self) -> f64 {
         self.end_s - self.start_s
     }
-
-    /// Volume (bits) the contact can move.
-    pub fn volume_bits(&self) -> f64 {
-        self.duration_s() * self.rate_bps
-    }
 }
 
 /// Sample the time-varying topology into a contact plan over

@@ -63,7 +63,7 @@
 use crate::topology::{Graph, LinkTech};
 use openspace_orbit::constants::SPEED_OF_LIGHT_M_PER_S;
 use openspace_orbit::ephemeris::EphemerisSample;
-use openspace_orbit::frames::{ecef_to_eci, eci_to_ecef, Vec3};
+use openspace_orbit::frames::{eci_to_ecef, Vec3};
 use openspace_orbit::propagator::Propagator;
 use openspace_orbit::visibility::{
     line_of_sight_with_clearance, slant_range_at_elevation_m, visible_slant_range_m,
@@ -462,12 +462,6 @@ pub fn best_access_from_ecef(
         }
     }
     best
-}
-
-/// Convenience: the ECI position of a ground ECEF point at time `t_s`
-/// (for mixing ground points into ECI-frame computations).
-pub fn ground_eci(ground_ecef: Vec3, t_s: f64) -> Vec3 {
-    ecef_to_eci(ground_ecef, t_s)
 }
 
 /// Test oracle for [`build_snapshot_from_samples`], not a production

@@ -37,9 +37,6 @@ pub const BOLTZMANN_J_PER_K: f64 = 1.380_649e-23;
 /// Duration of one sidereal day (s).
 pub const SIDEREAL_DAY_S: f64 = 86_164.090_5;
 
-/// Astronomical unit (m) — mean Earth–Sun distance, used by the eclipse model.
-pub const ASTRONOMICAL_UNIT_M: f64 = 1.495_978_707e11;
-
 /// Mean radius of the Sun (m), used by the eclipse model.
 pub const SUN_RADIUS_M: f64 = 6.957e8;
 

@@ -81,18 +81,6 @@ impl Propagator {
         self.raan_rate
     }
 
-    /// Secular argument-of-perigee drift rate (rad/s); zero for the
-    /// two-body model.
-    pub fn argp_rate_rad_per_s(&self) -> f64 {
-        self.argp_rate
-    }
-
-    /// Effective mean-anomaly advance rate (rad/s): the Keplerian mean
-    /// motion plus the secular J2 correction.
-    pub fn mean_anomaly_rate_rad_per_s(&self) -> f64 {
-        self.mean_anomaly_rate
-    }
-
     /// Tight geocentric radius bounds `(r_min, r_max)` in metres over the
     /// whole trajectory.
     ///

@@ -6,7 +6,6 @@
 
 use crate::linkbudget::RfTerminal;
 use crate::optical::OpticalTerminal;
-use crate::power::PowerSystem;
 
 /// Cost/mass/volume of one communication terminal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,15 +75,6 @@ impl SatelliteClass {
             Some(OpticalTerminal::conlct80_class())
         } else {
             None
-        }
-    }
-
-    /// Power system of this class.
-    pub fn power_system(self) -> PowerSystem {
-        match self {
-            Self::CubeSat => PowerSystem::cubesat_6u(),
-            Self::SmallSat => PowerSystem::smallsat(),
-            Self::BroadbandBus => PowerSystem::broadband_bus(),
         }
     }
 

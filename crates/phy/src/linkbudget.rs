@@ -31,12 +31,6 @@ pub fn watts_to_dbw(w: f64) -> f64 {
     to_db(w)
 }
 
-/// Convert dBW to watts.
-#[inline]
-pub fn dbw_to_watts(dbw: f64) -> f64 {
-    from_db(dbw)
-}
-
 /// Free-space path loss (dB) over `distance_m` at `frequency_hz`.
 ///
 /// `FSPL = 20 log10(4π d f / c)`.

@@ -42,16 +42,6 @@ impl PowerSystem {
             battery_efficiency: 0.92,
         }
     }
-
-    /// A Starlink-class bus: several kW array.
-    pub fn broadband_bus() -> Self {
-        Self {
-            solar_power_w: 4_000.0,
-            battery_capacity_j: 8_000.0 * 3600.0,
-            bus_load_w: 1_200.0,
-            battery_efficiency: 0.95,
-        }
-    }
 }
 
 /// Error when a power draw cannot be sustained.
